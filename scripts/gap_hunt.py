@@ -6,10 +6,12 @@ Two published targets are wired in as presets:
   --preset 778    gap 778 first occurring near 4.28e13
   --preset 1132   gap 1132 (1131 composites) near 1.69e15
 
-Both are far beyond desk scale (days to months of CPU); the point of
-this script is that the search is checkpointed, so it can be stopped
-and resumed indefinitely and still land on the same answer. For a
-desk-scale demonstration try:
+Both are far beyond desk scale. On one core of a 2-core x86-64 VM the
+scan costs about 7 ns per integer near 1e13 and 14 ns near 1e15, so
+preset 778 takes about four days and preset 1132 about eight months.
+The point of this script is that the search is checkpointed, so it can
+be stopped and resumed indefinitely and still land on the same answer.
+For a desk-scale demonstration try:
 
     python scripts/gap_hunt.py --gap 100 --stop 1e7 \
         --checkpoint runs/gap100.jsonl

@@ -47,12 +47,6 @@ def _offsets_arg(text: str) -> tuple[int, ...]:
     return tuple(_int_list(text))
 
 
-def _theta_arg(text: str) -> Fraction:
-    if "/" in text:
-        return Fraction(text)
-    return Fraction(float(text))
-
-
 def _cfg(args: argparse.Namespace) -> Config:
     base = from_file(args.config) if args.config else None
     return resolve(base, segment_bytes=args.segment_bytes,
@@ -468,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--limit", type=_int_arg, required=True)
     c = sg.add_parser("interval", parents=[common])
     c.add_argument("--x", type=_int_arg, required=True)
-    c.add_argument("--theta", type=_theta_arg, required=True)
+    c.add_argument("--theta", type=Fraction, required=True)
     c = sg.add_parser("between-squares", parents=[common])
     c.add_argument("--n", type=_int_arg, required=True)
     c = sg.add_parser("short-interval", parents=[common])

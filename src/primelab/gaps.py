@@ -19,7 +19,14 @@ import numpy as np
 from .checkpoint import Checkpoint, read_latest, write_checkpoint
 from .config import Config
 from .errors import CheckpointError
-from .sieve import _odd_count, fill_segment, is_prime_64, iter_segments, small_primes
+from .sieve import (
+    _odd_count,
+    check_window,
+    fill_segment,
+    is_prime_64,
+    iter_segments,
+    small_primes,
+)
 
 __all__ = [
     "GapRecord",
@@ -175,6 +182,7 @@ def _count_primes_interval(a: int, b: int, cfg: Config | None) -> int:
     if b < a or b < 2:
         return 0
     cfg = (cfg or Config()).validate()
+    check_window(b + 1)
     total = 1 if a <= 2 else 0
     anchor = a if a % 2 == 0 else a - 1
     anchor = max(anchor, 2)
@@ -193,11 +201,11 @@ def interval_prime_count(x: int, theta) -> IntervalCount:
     """Primes in (x, x + floor(x**theta)] against the x**theta / log x density.
 
     theta may be a Fraction (window computed exactly via integer roots) or
-    a float (converted to its exact binary Fraction).
+    a float, read as its shortest decimal: 0.55 means 11/20.
     """
     if x < 10:
         raise ValueError("x must be at least 10")
-    th = theta if isinstance(theta, Fraction) else Fraction(theta)
+    th = Fraction(repr(theta)) if isinstance(theta, float) else Fraction(theta)
     if not 0 < th < 1:
         raise ValueError("theta must lie strictly between 0 and 1")
     window = _integer_root(x ** th.numerator, th.denominator)
@@ -279,6 +287,7 @@ def hunt_gap(gap: int, stop: int, *, start: int = 2,
         raise ValueError("a prime gap above 1 must be even")
     if stop < start:
         raise ValueError("stop must be >= start")
+    check_window(stop + 1)
     cfg = (cfg or Config()).validate()
     task_id = f"gap_hunt({gap})@{stop}"
 

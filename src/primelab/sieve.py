@@ -3,9 +3,17 @@
 The segment layout is odds-only: bit i of a segment starting at even lo
 corresponds to the odd number lo + 1 + 2i.  Stepping an odd prime p
 through consecutive odd multiples advances the value by 2p, which is a
-stride of exactly p in index space, so crossing off is a single numpy
-slice assignment per prime.  The prime 2 never appears in a bit array;
-iterators inject it when a range covers it.
+stride of exactly p in index space.  Base primes below a threshold set
+by the segment's length cross off with one numpy slice assignment each;
+the larger ones hit the segment only a few times each, so they cross off
+together, one vectorised pass per hit (after Oliveira e Silva, Herzog
+and Pardi, Math. Comp. 83 (2014), who treat large sieving primes apart
+from small ones).  The prime 2 never appears in a bit array; iterators
+inject it when a range covers it.
+
+The kernel computes in int64.  Every value it forms stays below hi plus
+the largest base prime it uses, so a window [lo, hi) is accepted only
+while that sum is below 2**63 (see check_window).
 """
 from __future__ import annotations
 
@@ -21,8 +29,20 @@ from .config import Config
 from .errors import ResourceLimitError
 
 # Deterministic Miller-Rabin witness set: the first twelve primes decide
-# primality for every n < 3.3e24, which covers the full 64-bit range.
+# primality for every n < 3.1e23, which covers the full 64-bit range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_k, the least strong pseudoprime to all of the first k prime bases
+# (Pomerance, Selfridge and Wagstaff 1980; Jaeschke, Math. Comp. 61
+# (1993); Zhang and Tang 2003; Sorenson and Webster 2017): an n < psi_k
+# that passes the first k bases is prime.
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461)
+
+# fill_segment's int64 domain: hi plus the largest base prime a window
+# uses must stay below this.
+INT64_BOUND = 1 << 63
 
 _TRIAL_LIMIT = 10**4
 
@@ -89,16 +109,36 @@ def small_primes(bound: int) -> np.ndarray:
     return arr
 
 
+def check_window(hi: int) -> None:
+    """Raise ValueError unless windows ending at hi fit the int64 kernel.
+
+    A window below hi sieves with base primes up to isqrt(hi - 1), and
+    hi plus that prime must stay below INT64_BOUND.
+    """
+    if hi + isqrt(max(hi - 1, 0)) >= INT64_BOUND:
+        raise ValueError(
+            f"window end {hi} is outside the sieve's int64 domain: "
+            "hi + isqrt(hi - 1) must stay below 2**63")
+
+
 def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Mark primality of odds in [lo, hi) into a bool array.
 
-    base_primes must contain every prime <= isqrt(hi - 1).  `out` may be
-    a reusable buffer at least as long as the segment; the returned array
+    base_primes must be ascending and contain every prime <=
+    isqrt(hi - 1), and hi must pass check_window.  `out` may be a
+    reusable buffer at least as long as the segment; the returned array
     is then a view into it, valid until the next fill.
+
+    Each odd base prime p crosses off its odd multiples from max(p*p,
+    lo + 1) on.  Primes below max(64, n // 64), for a segment of n odds,
+    hit it about n / p >= 64 times and cross off with one slice each.
+    The rest cross off together: every pass clears one multiple of each
+    remaining prime, then drops the primes that have left the segment.
     """
     if lo % 2 != 0 or lo < 2:
         raise ValueError("segment lo must be even and >= 2")
+    check_window(hi)
     n = _odd_count(lo, hi)
     if out is None:
         bits = np.ones(n, dtype=bool)
@@ -114,14 +154,31 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
         # it is short only if a real prime hides in the gap
         if any(is_prime_64(c) for c in range(last + 1, top + 1)):
             raise ValueError("base prime table too small for segment")
-    ps = base_primes[(base_primes > 2) & (base_primes <= top)]
-    if len(ps):
-        starts = np.maximum(ps * ps, ((lo + ps) // ps) * ps)
-        starts = np.where(starts % 2 == 0, starts + ps, starts)
-        idx = (starts - lo - 1) >> 1
-        for i, p in zip(idx, ps):
-            if i < n:
-                bits[i::p] = False
+    ps = base_primes[np.searchsorted(base_primes, 3):
+                     np.searchsorted(base_primes, top, side="right")]
+    # index of each prime's first odd multiple >= max(p*p, lo + 1): the
+    # first multiple >= lo + 1 sits d = -(lo + 1) mod p past it, and the
+    # next one after it when d is odd
+    starts = np.remainder(-(lo + 1), ps)
+    starts += (starts & 1) * ps
+    starts >>= 1
+    j = int(np.searchsorted(ps, isqrt(lo) + 1))  # primes with p*p > lo
+    tail = ps[j:]
+    np.maximum(starts[j:], (tail * tail - (lo + 1)) >> 1, out=starts[j:])
+    split = int(np.searchsorted(ps, max(64, n // 64)))
+    for i, p in zip(starts[:split].tolist(), ps[:split].tolist()):
+        if i < n:
+            bits[i::p] = False
+    keep = starts[split:] < n
+    bi = starts[split:][keep]
+    bp = ps[split:][keep]
+    del starts, keep
+    while len(bi):
+        bits[bi] = False
+        bi += bp
+        keep = bi < n
+        bi = bi[keep]
+        bp = bp[keep]
     return bits
 
 
@@ -196,7 +253,11 @@ def odd_prime_flags(limit: int) -> np.ndarray:
 
 
 def is_prime_64(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2**64."""
+    """Deterministic primality for 0 <= n < 2**64.
+
+    Trial division by the twelve witness primes, then strong tests to
+    those bases in order, stopping after base k once n < psi_k.
+    """
     if n < 0 or n >= 1 << 64:
         raise ValueError("argument outside 64-bit range")
     if n < 2:
@@ -211,17 +272,12 @@ def is_prime_64(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    for a, psi in zip(_MR_BASES, _MR_PSI):
+        if not _strong_test(n, a, d, s):
             return False
-    return True
+        if n < psi:
+            return True
+    return True  # not reached: psi_12 exceeds 2**64
 
 
 def _strong_test(N: int, a: int, d: int, s: int) -> bool:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +169,22 @@ def test_resume_byte_identical_via_cli(tmp_path, capsys, monkeypatch):
     assert main(["census", "pairs", "--gap", "2", "--limit", "3e6",
                  "--segment-bytes", "65536", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gaps_interval_decimal_theta_answers():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-m", "primelab", "gaps", "interval", "--x", "1000",
+         "--theta", "0.55"], capture_output=True, text=True, timeout=10,
+        env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[1].startswith("7,")
+
+
+def test_window_outside_int64_exits_2(capsys):
+    code = main(["gaps", "interval", "--x", str(2**63), "--theta", "1/2"])
+    assert code == 2
+    assert "int64" in capsys.readouterr().err

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import primelab.gaps as gaps_mod
 from primelab.config import Config
 from primelab.gaps import (
+    _count_primes_interval,
     first_occurrence,
     first_occurrences_csv,
     hunt_gap,
@@ -99,6 +101,23 @@ def test_interval_count_oracle():
     assert res.count == want
     assert res.expected > 0
     assert res.ratio == pytest.approx(res.count / res.expected)
+
+
+def test_interval_float_theta_reads_as_decimal():
+    # 0.55 is 11/20, not the 53-bit binary fraction nearest to it
+    assert interval_prime_count(1000, 0.55) == \
+        interval_prime_count(1000, Fraction(11, 20))
+
+
+def test_windows_past_int64_rejected_before_base_table(monkeypatch):
+    def no_table(bound):
+        raise AssertionError(f"base table of {bound} built")
+
+    monkeypatch.setattr(gaps_mod, "small_primes", no_table)
+    with pytest.raises(ValueError, match="int64"):
+        _count_primes_interval(2**63 + 10, 2**63 + 20, None)
+    with pytest.raises(ValueError, match="int64"):
+        hunt_gap(100, 2**63 + 20, start=2**63)
 
 
 def test_interval_theta_validation():

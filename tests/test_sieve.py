@@ -1,12 +1,18 @@
 import random
+from math import isqrt
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primelab.config import Config
 from primelab.sieve import (
+    _MR_PSI,
+    INT64_BOUND,
+    _odd_count,
+    check_window,
     composite_run,
     factorize_64,
     fill_segment,
@@ -62,6 +68,86 @@ def test_fill_segment_window_matches_naive(lo2, width):
         assert bool(flag) == naive_is_prime(n), n
 
 
+def slice_loop_fill(lo, hi, base_primes):
+    """The earlier kernel: one slice assignment per base prime."""
+    n = _odd_count(lo, hi)
+    bits = np.ones(n, dtype=bool)
+    if n == 0:
+        return bits
+    top = isqrt(hi - 1)
+    ps = base_primes[(base_primes > 2) & (base_primes <= top)]
+    if len(ps):
+        starts = np.maximum(ps * ps, ((lo + ps) // ps) * ps)
+        starts = np.where(starts % 2 == 0, starts + ps, starts)
+        idx = (starts - lo - 1) >> 1
+        for i, p in zip(idx, ps):
+            if i < n:
+                bits[i::p] = False
+    return bits
+
+
+FULL_SEGMENT_ODDS = Config().segment_odds  # 4 MiB: 2**22 odds
+HIGHEST_LO = 10**15
+
+
+@pytest.fixture(scope="module")
+def base_1e15():
+    """Primes up to sqrt(1e15 + one segment), built apart from small_primes."""
+    bound = isqrt(HIGHEST_LO + 2 * FULL_SEGMENT_ODDS) + 1
+    odd = 2 * np.flatnonzero(odd_prime_flags(bound)).astype(np.int64) + 1
+    return np.concatenate(([2], odd))
+
+
+# lo is drawn decade by decade up to 1e15, which keeps most windows low
+# enough for the slow oracle; widths run from 1 odd to a full segment
+_lo = st.integers(1, 15).flatmap(
+    lambda e: st.integers(max(1, 10 ** (e - 1) // 2), 10**e // 2)).map(
+    lambda h: 2 * h)
+_width = st.integers(0, 22).flatmap(
+    lambda e: st.integers(1, min(2**e, FULL_SEGMENT_ODDS)))
+
+
+@settings(max_examples=150)
+@given(lo=_lo, n=_width, reuse=st.booleans(), seed=st.integers(0, 2**32))
+@example(lo=2, n=FULL_SEGMENT_ODDS, reuse=False, seed=0)  # lo < p*p
+@example(lo=900, n=40, reuse=True, seed=1)  # 31**2 inside the window
+@example(lo=10**12, n=FULL_SEGMENT_ODDS, reuse=True, seed=2)
+# the last odd is 65537 * 15258557: its least factor sits at the threshold
+# and crosses it off on its 64th hit in the window
+@example(lo=65537 * 15258557 + 1 - 2 * FULL_SEGMENT_ODDS, n=FULL_SEGMENT_ODDS,
+         reuse=False, seed=5)
+@example(lo=HIGHEST_LO, n=FULL_SEGMENT_ODDS, reuse=False, seed=3)
+@example(lo=HIGHEST_LO - 2, n=1, reuse=False, seed=4)
+def test_fill_segment_bit_identical_to_slice_loop(base_1e15, lo, n, reuse,
+                                                   seed):
+    hi = lo + 2 * n
+    want = slice_loop_fill(lo, hi, base_1e15)
+    if reuse:
+        rnd = np.random.default_rng(seed)
+        buf = rnd.random(n + int(rnd.integers(0, 64))) < 0.5  # stale bits
+        got = fill_segment(lo, hi, base_1e15, out=buf)
+        assert np.shares_memory(got, buf)
+    else:
+        got = fill_segment(lo, hi, base_1e15)
+    assert len(got) == n
+    assert np.array_equal(got, want)
+    rnd = random.Random(seed)
+    for i in {0, n - 1, *(rnd.randrange(n) for _ in range(8))}:
+        assert bool(got[i]) == sympy.isprime(lo + 1 + 2 * i), lo + 1 + 2 * i
+
+
+def test_fill_segment_rejects_windows_past_int64():
+    top = isqrt(INT64_BOUND)
+    hi = INT64_BOUND - top  # the least hi with hi + isqrt(hi - 1) >= 2**63
+    check_window(hi - 1)
+    for bad in (hi, INT64_BOUND + 20):
+        with pytest.raises(ValueError, match="int64"):
+            check_window(bad)
+        # rejected before the three-billion-wide base table check runs
+        with pytest.raises(ValueError, match="int64"):
+            fill_segment(bad - 11 & ~1, bad, np.array([2, 3], dtype=np.int64))
+
+
 def test_odd_prime_flags_layout(prime_set_1e6):
     flags = odd_prime_flags(10**5)
     for i in (0, 1, 2, 3, 17, 49999):
@@ -81,6 +167,15 @@ def test_is_prime_64_known_pseudoprimes():
     assert is_prime_64(2**61 - 1)  # Mersenne prime
     with pytest.raises(ValueError):
         is_prime_64(2**64)  # out of the deterministic witness domain
+
+
+def test_is_prime_64_rejects_each_psi():
+    # psi_k is the least strong pseudoprime to the first k prime bases, so
+    # the test must go on to base k + 1 for n = psi_k itself
+    for k, psi in enumerate(_MR_PSI, start=1):
+        if psi < 2**64:
+            assert not is_prime_64(psi), (k, psi)
+            assert not sympy.isprime(psi)
 
 
 @given(st.integers(min_value=2, max_value=2**64 - 1))
