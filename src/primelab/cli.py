@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 a mathematical violation was found (a failed
-verification, a violated invariant), 2 usage or checkpoint errors.
+verification, a violated invariant), 2 usage or checkpoint errors, 3 an
+internal error (any other exception).
 """
 from __future__ import annotations
 
@@ -577,6 +578,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"resource limit: {exc} (progress: {exc.progress})",
               file=sys.stderr)
         return 2
+    except Exception as exc:
+        # status 1 must keep meaning "violation", so a crash gets its own
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,12 +1,22 @@
 """Two-prime decompositions of even numbers, at desk scale.
 
-Verification works by elimination: every even n in a block starts
-unrepresented, and ascending odd primes q knock out the n for which
-n - q is prime.  Blocks empty within a few dozen rounds; anything that
-survives the small primes gets an exhaustive per-prime check before it
-may be called a violation.  Representation counts are computed two
-independent ways (per-prime lookup and a complement scan) so the
-printed numbers never rest on a single code path.
+Verification works by elimination (the least-p method of Oliveira e
+Silva, Herzog and Pardi, Math. Comp. 83 (2014)): every even n in a
+block starts unrepresented, and ascending odd primes q knock out the n
+for which n - q is prime.  For one q those n - q are consecutive odds,
+so while many evens survive a step is one contiguous slice AND of the
+odd-prime table against the block's survivor mask.  Once about 1/50 of
+the block is left, the survivors are compressed to their values and
+each later q gathers only their flags.  Anything that survives the
+small primes gets an exhaustive per-prime check before it may be called
+a violation.
+
+Representation counts are computed two independent ways (per-prime
+lookup and a complement scan) so the printed numbers never rest on a
+single code path; both read the one odd-prime table.  That table is
+built once per process: it holds (limit + 1) / 2 bytes for the largest
+limit asked for so far, is read-only, and is rebuilt only when a larger
+limit is asked for.
 """
 from __future__ import annotations
 
@@ -33,11 +43,30 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 22
+# the dense slice-AND steps end once at most 1/_SPARSE of a block
+# survives, counted every 8 primes
+_SPARSE = 50
+
+# the odd-prime table this process keeps; see _odd_flags
+_flags_table: np.ndarray | None = None
 
 
 def _check_even(n: int, name: str = "n") -> None:
     if n < 4 or n % 2:
         raise ValueError(f"{name} must be an even integer >= 4")
+
+
+def _odd_flags(limit: int) -> np.ndarray:
+    """odd_prime_flags(limit) as a read-only prefix view of the one
+    table this process keeps, built afresh only for a larger limit."""
+    global _flags_table
+    n = (limit + 1) // 2
+    table = _flags_table
+    if table is None or table.size < n:
+        table = odd_prime_flags(limit)
+        table.setflags(write=False)
+        _flags_table = table
+    return table[:n]
 
 
 def _odd_rep_exists_slow(n: int, flags: np.ndarray) -> bool:
@@ -54,26 +83,37 @@ def _odd_rep_exists_slow(n: int, flags: np.ndarray) -> bool:
 
 def _scan_evens(lo: int, hi: int, *, first_only: bool) -> list[int]:
     """Evens in [lo, hi] with no two-prime decomposition, ascending."""
-    flags = odd_prime_flags(hi)
-    qs = [int(p) for p in small_primes(min(hi - 2, 10**6)) if p > 2]
+    flags = _odd_flags(hi)
+    qs = small_primes(min(hi - 2, 10**6))[1:].tolist()  # the odd primes
     violations: list[int] = []
     start = max(lo, 6)  # 4 = 2 + 2 is the one even needing the prime 2
     for blo in range(start, hi + 1, _BLOCK):
-        bhi = min(blo + _BLOCK - 2, hi)
-        rem = np.arange(blo, bhi + 1, 2, dtype=np.int64)
-        for q in qs:
-            if rem.size == 0:
+        m = (min(blo + _BLOCK - 2, hi) - blo) // 2 + 1
+        # rem[i]: blo + 2i has no representation found yet.  For prime
+        # q, the flags of blo + 2i - q sit at base + i.
+        rem = np.ones(m, dtype=bool)
+        j = 0
+        while j < len(qs) and (j % 8 or np.count_nonzero(rem) * _SPARSE > m):
+            base = (blo - qs[j] - 1) >> 1
+            k0 = max(0, 1 - base)  # first i with blo + 2i - q >= 3
+            if k0 >= m:
                 break
-            sub = rem - q
+            np.greater(rem[k0:], flags[base + k0:base + m], out=rem[k0:])
+            j += 1
+        vals = blo + 2 * np.flatnonzero(rem)
+        for q in qs[j:]:
+            if vals.size == 0:
+                break
+            sub = vals - q
             ok = sub >= 3
             if not ok.any():
                 break
-            hit = np.zeros(rem.shape, dtype=bool)
+            hit = np.zeros(vals.shape, dtype=bool)
             hit[ok] = flags[(sub[ok] - 1) >> 1]
-            rem = rem[~hit]
-        for n in rem:
-            if not _odd_rep_exists_slow(int(n), flags):
-                violations.append(int(n))
+            vals = vals[~hit]
+        for n in vals.tolist():
+            if not _odd_rep_exists_slow(n, flags):
+                violations.append(n)
                 if first_only:
                     return violations
     return violations
@@ -110,13 +150,10 @@ def count_by_prime_lookup(n: int) -> int:
     _check_even(n)
     if n == 4:
         return 1
-    flags = odd_prime_flags(n)
-    ps = small_primes(n // 2)
-    ps = ps[ps > 2].astype(np.int64)
-    if ps.size == 0:
-        return 0
-    mates = n - ps
-    return int(np.count_nonzero(flags[(mates - 1) >> 1]))
+    flags = _odd_flags(n)
+    half = n // 2
+    js = np.flatnonzero(flags[:(half + 1) // 2])  # odd primes 2j + 1 <= n/2
+    return int(np.count_nonzero(flags[half - 1 - js]))
 
 
 def count_by_complement_scan(n: int) -> int:
@@ -124,7 +161,7 @@ def count_by_complement_scan(n: int) -> int:
     _check_even(n)
     if n == 4:
         return 1
-    flags = odd_prime_flags(n)
+    flags = _odd_flags(n)
     half = n // 2
     m_top = half if half % 2 else half - 1
     if m_top < 3:
@@ -160,7 +197,11 @@ def count_representations(n: int, convention: str = "unordered",
 
 
 def representation_report(n: int) -> dict:
-    """All counting conventions side by side, with the dual-method check."""
+    """All counting conventions side by side, with the dual-method check.
+
+    The ordered and allow-one counts follow from the unordered one as in
+    count_representations.
+    """
     a = count_by_prime_lookup(n)
     b = count_by_complement_scan(n)
     if a != b:
@@ -169,8 +210,8 @@ def representation_report(n: int) -> dict:
     return {
         "n": n,
         "unordered": a,
-        "ordered": count_representations(n, "ordered"),
-        "unordered_allow_one": count_representations(n, allow_one=True),
+        "ordered": 2 * a - (1 if is_prime_64(n // 2) else 0),
+        "unordered_allow_one": a + (1 if is_prime_64(n - 1) else 0),
         "methods_agree": True,
     }
 

@@ -94,16 +94,20 @@ _small_prime_cache: dict[int, np.ndarray] = {}
 
 
 def small_primes(bound: int) -> np.ndarray:
-    """Dense sieve of primes <= bound, cached (int64 array)."""
+    """Dense sieve of primes <= bound, cached (read-only int64 array).
+
+    One table is kept; a smaller bound gets a prefix view of it.
+    """
     for b, arr in _small_prime_cache.items():
         if b >= bound:
-            return arr[arr <= bound] if b != bound else arr
+            return arr[:np.searchsorted(arr, bound, side="right")]
     flags = np.ones(bound + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = False
     arr = np.flatnonzero(flags).astype(np.int64)
+    arr.setflags(write=False)
     _small_prime_cache.clear()
     _small_prime_cache[bound] = arr
     return arr

@@ -188,3 +188,15 @@ def test_window_outside_int64_exits_2(capsys):
     code = main(["gaps", "interval", "--x", str(2**63), "--theta", "1/2"])
     assert code == 2
     assert "int64" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    import primelab.cli as cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_goldbach", crash)
+    code = main(["goldbach", "verify", "--from", "4", "--to", "10"])
+    assert code == 3  # not 1, which means a violation
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import primelab.goldbach as g
+from primelab.cli import main
 from primelab.errors import MathViolationError
 from primelab.goldbach import (
+    _BLOCK,
     chen_comparison,
     count_by_complement_scan,
     count_by_prime_lookup,
@@ -15,6 +19,7 @@ from primelab.goldbach import (
     three_primes,
     verify_goldbach,
 )
+from primelab.sieve import odd_prime_flags, small_primes
 
 from conftest import naive_is_prime, naive_sieve
 
@@ -98,6 +103,14 @@ def test_representation_report_agrees():
     assert rep["unordered_allow_one"] == 127  # 9999 = 3*3*11*101
 
 
+def test_report_conventions_match_count_representations():
+    for n in range(4, 402, 2):
+        rep = representation_report(n)
+        assert rep["ordered"] == count_representations(n, "ordered"), n
+        assert (rep["unordered_allow_one"]
+                == count_representations(n, allow_one=True)), n
+
+
 def test_report_detects_divergence(monkeypatch):
     import primelab.goldbach as g
     monkeypatch.setattr(g, "count_by_complement_scan", lambda n: 0)
@@ -147,3 +160,140 @@ def test_chen_comparison_shape():
     assert rep["wu_coefficient"] == 1.104
     with pytest.raises(ValueError):
         chen_comparison(100)
+
+
+def _scan_evens_compress_only(lo, hi, first_only, flags):
+    """The elimination as one compress-and-gather loop from the first
+    prime on: the reference for the dense slice-AND steps."""
+    qs = [int(p) for p in small_primes(min(hi - 2, 10**6)) if p > 2]
+    violations = []
+    start = max(lo, 6)
+    for blo in range(start, hi + 1, _BLOCK):
+        bhi = min(blo + _BLOCK - 2, hi)
+        rem = np.arange(blo, bhi + 1, 2, dtype=np.int64)
+        for q in qs:
+            if rem.size == 0:
+                break
+            sub = rem - q
+            ok = sub >= 3
+            if not ok.any():
+                break
+            hit = np.zeros(rem.shape, dtype=bool)
+            hit[ok] = flags[(sub[ok] - 1) >> 1]
+            rem = rem[~hit]
+        for n in rem:
+            if not g._odd_rep_exists_slow(int(n), flags):
+                violations.append(int(n))
+                if first_only:
+                    return violations
+    return violations
+
+
+@st.composite
+def _doctored_windows(draw):
+    """(lo, hi, doctor, arg): a window of evens and how to doctor the
+    odd-flag table it is scanned with.
+
+    Windows start at 4, at 6 or anywhere below 2**23, and are short or
+    just wider than a block, so they end on either side of the first
+    block edge.  Doctored tables make violations to compare: "thin"
+    keeps each prime with probability arg, which leaves some small evens
+    bare; "band" drops every prime below lo - arg, so an even just above
+    lo keeps only the few q <= n - lo + arg.
+    """
+    doctor = draw(st.sampled_from(["none", "thin", "band"]))
+    # a band's bare evens keep the sparse loop running through every q
+    # up to hi, so its windows stay low and short
+    top = 2**15 if doctor == "band" else 2**22
+    lo = draw(st.sampled_from([4, 6, 2 * draw(st.integers(2, top))]))
+    if doctor != "band" and draw(st.booleans()):
+        width = 2 * draw(st.integers(_BLOCK // 2 - 8, _BLOCK // 2 + 8))
+    else:
+        width = 2 * draw(st.integers(0, 2000))
+    arg = None
+    if doctor == "thin":
+        arg = draw(st.sampled_from([0.5, 0.2]))
+    elif doctor == "band":
+        arg = draw(st.integers(0, 300))
+    return lo, lo + width, doctor, arg
+
+
+@settings(max_examples=20)
+@given(case=_doctored_windows(), seed=st.integers(0, 2**32 - 1))
+@example(case=(4, 4000, "thin", 0.2), seed=1)
+@example(case=(6, 6 + _BLOCK - 2, "thin", 0.5), seed=2)
+@example(case=(6, 6 + _BLOCK, "thin", 0.5), seed=3)
+@example(case=(4, 6 + _BLOCK, "none", None), seed=4)
+@example(case=(30000, 34000, "band", 30), seed=5)
+def test_scan_evens_matches_compress_only_loop(case, seed):
+    lo, hi, doctor, arg = case
+    flags = odd_prime_flags(hi)
+    if doctor == "thin":
+        flags &= np.random.default_rng(seed).random(flags.size) < arg
+    elif doctor == "band":
+        flags[:max(lo - arg, 0) // 2] = False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(g, "odd_prime_flags", lambda limit: flags[:(limit + 1) // 2].copy())
+        mp.setattr(g, "_flags_table", None)
+        want = _scan_evens_compress_only(lo, hi, False, flags)
+        assert g._scan_evens(lo, hi, first_only=False) == want
+        assert g._scan_evens(lo, hi, first_only=True) == want[:1]
+        # every even the elimination leaves, before the exhaustive check
+        # can rescue one that a faulty step failed to knock out
+        mp.setattr(g, "_odd_rep_exists_slow", lambda n, flags: False)
+        want = _scan_evens_compress_only(lo, hi, False, flags)
+        assert g._scan_evens(lo, hi, first_only=False) == want
+
+
+def test_scan_evens_lone_representation(monkeypatch):
+    # n0 = 1200 keeps one representation, via the k-th odd prime; every
+    # other odd is "prime", so all other evens go within a few steps and
+    # n0 is the lone survivor when the elimination changes method
+    lo, hi, n0 = 1000, 1398, 1200
+    monkeypatch.setattr(g, "_odd_rep_exists_slow", lambda n, flags: False)
+    qs = [int(q) for q in small_primes(n0 - 3)[1:]]
+    for k in range(40):
+        flags = np.ones((hi + 1) // 2, dtype=bool)
+        flags[0] = False
+        for q in qs[:k] + qs[k + 1:]:
+            flags[(n0 - q) >> 1] = False
+        monkeypatch.setattr(g, "odd_prime_flags", lambda limit: flags.copy())
+        monkeypatch.setattr(g, "_flags_table", None)
+        assert g._scan_evens(lo, hi, first_only=False) == [], qs[k]
+        flags[(n0 - qs[k]) >> 1] = False
+        monkeypatch.setattr(g, "_flags_table", None)
+        assert g._scan_evens(lo, hi, first_only=False) == [n0], qs[k]
+
+
+def test_violation_path_reachable(monkeypatch, capsys):
+    real = g.odd_prime_flags
+
+    def doctored(limit):
+        flags = real(limit)
+        for p in (19, 31, 37, 61, 67, 79):  # 98 = 19+79 = 31+67 = 37+61
+            flags[p >> 1] = False
+        return flags
+
+    monkeypatch.setattr(g, "odd_prime_flags", doctored)
+    monkeypatch.setattr(g, "_flags_table", None)
+    assert verify_goldbach(4, 200) == 98
+    assert exceptional_count(200).count == 1
+    assert main(["goldbach", "verify", "--from", "4", "--to", "200"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "4,200,98"
+
+
+def test_shared_table_cold_equals_warm(monkeypatch, prime_set_2e4):
+    monkeypatch.setattr(g, "_flags_table", None)
+    ns = (4, 6, 98, 2 * 4999, 19998)
+    cold = [(count_by_prime_lookup(n), count_by_complement_scan(n),
+             representation_report(n)) for n in ns]
+    assert [c[0] for c in cold] == [brute_unordered(n, prime_set_2e4) for n in ns]
+    verify_goldbach(4, 10**6)  # grows the shared table
+    assert g._flags_table.size == (10**6 + 1) // 2
+    warm = [(count_by_prime_lookup(n), count_by_complement_scan(n),
+             representation_report(n)) for n in ns]
+    assert warm == cold
+    count_by_prime_lookup(100)  # a smaller limit keeps the larger table
+    assert g._flags_table.size == (10**6 + 1) // 2
+    with pytest.raises(ValueError):
+        g._odd_flags(100)[1] = False

@@ -32,6 +32,26 @@ def test_small_primes_against_naive():
     assert list(small_primes(10**4)) == naive_sieve(10**4)
 
 
+def test_small_primes_same_with_larger_table_cached(monkeypatch):
+    import primelab.sieve as sieve
+    bounds = (0, 1, 2, 3, 4, 10, 96, 97, 98, 1000, 9973, 10**4)
+    cold = {}
+    for b in bounds:
+        monkeypatch.setattr(sieve, "_small_prime_cache", {})
+        cold[b] = small_primes(b).tolist()
+    monkeypatch.setattr(sieve, "_small_prime_cache", {})
+    big = small_primes(10**5)
+    for b in bounds:
+        warm = small_primes(b)
+        assert warm.dtype == np.int64
+        assert warm.tolist() == cold[b], b
+        if b >= 2:
+            with pytest.raises(ValueError):
+                warm[0] = 4  # the cached table is shared, so read-only
+    with pytest.raises(ValueError):
+        big[-1] = 4
+
+
 def test_small_primes_edges():
     assert list(small_primes(2)) == [2]
     assert list(small_primes(3)) == [2, 3]
