@@ -25,8 +25,10 @@ import sys
 import time
 
 from primelab.census import twin_form_search
-from primelab.checkpoint import Checkpoint, read_latest, write_checkpoint
+from primelab.checkpoint import Checkpoint, write_checkpoint
+from primelab.errors import CheckpointError
 from primelab.refdata import RECORD_TWINS
+from primelab.scan import resume
 from primelab.sieve import prp_test
 
 
@@ -73,11 +75,12 @@ def main() -> int:
     pos = args.k_lo
     found: list[list[int]] = []
     if args.checkpoint:
-        cp = read_latest(args.checkpoint)
+        try:
+            cp = resume(args.checkpoint, task)
+        except CheckpointError as exc:
+            print(f"checkpoint error: {exc}", file=sys.stderr)
+            return 2
         if cp is not None:
-            if cp.task_id != task:
-                print(f"checkpoint belongs to {cp.task_id!r}", file=sys.stderr)
-                return 2
             pos = cp.range_done + 1
             found = [[int(a) for a in row] for row in cp.payload["found"]]
             print(f"# resuming at k={pos}, {len(found)} hits so far",

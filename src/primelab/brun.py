@@ -8,20 +8,16 @@ segment size, not the thread count, so totals do not depend on threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .census import _normalize_marks
-from .checkpoint import Checkpoint, read_latest, write_checkpoint
 from .config import Config
 from .errors import CheckpointError
-from .parallel import run_sharded, split_range
 from .refdata import BRUN_ESTIMATES, BRUN_KUTRIB_RICHSTEIN, BRUN_REFERENCE
-from .sieve import fill_segment, small_primes
+from .scan import Kernel, normalize_marks, scan
 
 __all__ = [
     "BrunAccumulator",
@@ -49,10 +45,13 @@ def parse_longdouble(s: str) -> np.longdouble:
 
 @dataclass
 class BrunAccumulator:
+    """Compensated twin-reciprocal sum to limit_done, a row per mark passed."""
+
     limit_done: int = 2
     pair_count: int = 0
     sum: np.longdouble = _LD(0)
     compensation: np.longdouble = _LD(0)
+    rows: list[BrunRow] = field(default_factory=list)
 
     def merge(self, block_sum, block_pairs: int, new_limit: int) -> None:
         y = _LD(block_sum) - self.compensation
@@ -69,40 +68,61 @@ class BrunRow(NamedTuple):
     pair_count: int
 
 
-def _scan_shard(lo: int, hi: int, base: np.ndarray, cfg: Config,
-                marks: tuple[int, ...]):
-    """Sum 1/p + 1/(p+2) over twin pairs with smaller member in [lo, hi).
+class _BrunSum(Kernel):
+    """Sum of 1/p + 1/(p+2) over twin pairs, as a BrunAccumulator."""
 
-    Returns (total, pair count, [(mark, prefix sum, prefix count), ...])
-    for the marks that land inside this shard.
-    """
-    span = 2 * cfg.segment_odds
-    buf = np.empty(cfg.segment_odds + 1, dtype=bool)
-    total = _LD(0)
-    comp = _LD(0)
-    pairs = 0
-    out_rows: list[tuple[int, np.longdouble, int]] = []
-    my_marks = [m for m in marks if lo <= m < hi]
-    for seg_lo in range(lo, hi, span):
-        seg_hi = min(seg_lo + span, hi)
-        bits = fill_segment(seg_lo, seg_hi + 2, base, out=buf)
-        slots = (seg_hi - seg_lo) // 2
+    reach = 2
+    exact = False
+
+    def __init__(self, limit: int, marks: tuple[int, ...]):
+        self.task_id = f"brun@{limit}"
+        self.marks = marks
+
+    def empty(self) -> BrunAccumulator:
+        return BrunAccumulator()
+
+    def segment(self, lo: int, hi: int, bits: np.ndarray) -> BrunAccumulator:
+        slots = (hi - lo) // 2
         inst = bits[:slots] & bits[1:slots + 1]
         idx = np.nonzero(inst)[0]
-        p = seg_lo + 1 + 2 * idx.astype(np.int64)
+        p = lo + 1 + 2 * idx.astype(np.int64)
         recips = 1.0 / p.astype(_LD) + 1.0 / (p + 2).astype(_LD)
-        for mk in my_marks:
-            if seg_lo <= mk < seg_hi:
+        part = BrunAccumulator(
+            hi, int(idx.size), recips.sum(dtype=_LD) if idx.size else _LD(0))
+        for mk in self.marks:
+            if lo <= mk < hi:
                 cnt = int(np.searchsorted(p, mk, side="right"))
                 psum = recips[:cnt].sum(dtype=_LD) if cnt else _LD(0)
-                out_rows.append((mk, total + psum, pairs + cnt))
-        seg_sum = recips.sum(dtype=_LD) if idx.size else _LD(0)
-        y = seg_sum - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        pairs += int(idx.size)
-    return total, pairs, out_rows
+                part.rows.append(BrunRow(mk, psum, cnt))
+        return part
+
+    def merge(self, acc: BrunAccumulator,
+              part: BrunAccumulator) -> BrunAccumulator:
+        acc.rows += [BrunRow(r.limit, acc.sum + r.sum,
+                             acc.pair_count + r.pair_count) for r in part.rows]
+        acc.merge(part.sum, part.pair_count, part.limit_done)
+        return acc
+
+    def dump(self, acc: BrunAccumulator) -> dict:
+        return {
+            "sum": format_longdouble(acc.sum),
+            "comp": format_longdouble(acc.compensation),
+            "pairs": str(acc.pair_count),
+            "rows": [[r.limit, format_longdouble(r.sum), r.pair_count]
+                     for r in acc.rows],
+        }
+
+    def load(self, payload: dict, range_done: int) -> BrunAccumulator:
+        acc = BrunAccumulator(
+            range_done, int(payload["pairs"]),
+            parse_longdouble(payload["sum"]),
+            parse_longdouble(payload["comp"]),
+            [BrunRow(int(m), parse_longdouble(s), int(c))
+             for m, s, c in payload["rows"]])
+        if [r.limit for r in acc.rows] != [m for m in self.marks
+                                           if m < range_done]:
+            raise CheckpointError("checkpoint marks do not match this run")
+        return acc
 
 
 def brun_partial(limit: int, checkpoints: Sequence[int] | None = None, *,
@@ -112,56 +132,10 @@ def brun_partial(limit: int, checkpoints: Sequence[int] | None = None, *,
     """Compensated partial sums at each requested mark (default: the limit)."""
     if limit < 5:
         raise ValueError("limit must be at least 5")
-    cfg = cfg or Config()
-    cfg.validate()
-    marks = _normalize_marks(limit, checkpoints)
-    task_id = f"brun@{limit}"
-    acc = BrunAccumulator()
-    rows: list[BrunRow] = []
-    if checkpoint_path is not None:
-        prior = read_latest(checkpoint_path)
-        if prior is not None:
-            if prior.task_id != task_id:
-                raise CheckpointError(
-                    f"checkpoint is for {prior.task_id!r}, expected {task_id!r}")
-            pl = prior.payload
-            try:
-                acc = BrunAccumulator(prior.range_done, int(pl["pairs"]),
-                                      parse_longdouble(pl["sum"]),
-                                      parse_longdouble(pl["comp"]))
-                rows = [BrunRow(int(m), parse_longdouble(s), int(c))
-                        for m, s, c in pl["rows"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(f"malformed payload: {exc}") from exc
-
-    base = small_primes(max(isqrt(limit + 2) + 1, 3))
-    span = 2 * cfg.segment_odds
-    chunk = max(checkpoint_stride, span)
-    chunk -= chunk % 2
-    bound = limit + 1
-    pos = acc.limit_done
-    while pos < bound:
-        nxt = min(pos + chunk, bound)
-        # shard size is a fixed multiple of the segment, never the thread
-        # count, so the merged total is thread-count independent
-        shards = split_range(pos, nxt, max(1, -(-(nxt - pos) // (8 * span))))
-        results = run_sharded(
-            lambda a, b: _scan_shard(a, b, base, cfg, marks),
-            shards, cfg.threads)
-        for (slo, shi), (ssum, spairs, srows) in zip(shards, results):
-            for mk, psum, pcnt in srows:
-                rows.append(BrunRow(mk, acc.sum + psum, acc.pair_count + pcnt))
-            acc.merge(ssum, spairs, shi)
-        if checkpoint_path is not None:
-            write_checkpoint(checkpoint_path, Checkpoint(task_id, nxt, {
-                "sum": format_longdouble(acc.sum),
-                "comp": format_longdouble(acc.compensation),
-                "pairs": str(acc.pair_count),
-                "rows": [[r.limit, format_longdouble(r.sum), r.pair_count]
-                         for r in rows],
-            }))
-        pos = nxt
-    return rows
+    cfg = (cfg or Config()).validate()
+    marks = normalize_marks(limit, checkpoints)
+    return scan(2, limit + 1, _BrunSum(limit, marks), cfg, checkpoint_path,
+                checkpoint_stride).rows
 
 
 @lru_cache(maxsize=None)

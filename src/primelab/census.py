@@ -15,14 +15,13 @@ from math import isqrt
 
 import numpy as np
 
-from .checkpoint import Checkpoint, read_latest, write_checkpoint
 from .config import Config
 from .errors import CheckpointError, MathViolationError, ResourceLimitError
-from .parallel import run_sharded, split_range
+from .scan import Kernel, normalize_marks, scan
 from .sieve import (
+    Walk,
     _odd_count,
     factorize_64,
-    fill_segment,
     is_prime_64,
     iter_primes,
     odd_prime_flags,
@@ -124,63 +123,46 @@ def admissible(pattern) -> bool:
     return True
 
 
-def _normalize_marks(limit: int, checkpoints) -> tuple[int, ...]:
-    if checkpoints is None:
-        return (int(limit),)
-    marks = tuple(sorted({int(c) for c in checkpoints}))
-    if not marks:
-        raise ValueError("checkpoints must be non-empty when given")
-    if marks[0] < 1:
-        raise ValueError("checkpoints must be positive")
-    if marks[-1] > limit:
-        raise ValueError("checkpoints must not exceed the limit")
-    return marks
+class _PatternCensus(Kernel):
+    """Odd instance starts p <= mark for each mark; p = 2 is the caller's."""
 
+    def __init__(self, pat: Pattern, limit: int, marks: tuple[int, ...]):
+        self.task_id = f"{pat.tag}@{limit}"
+        self.reach = pat.reach
+        self.shifts = [o >> 1 for o in pat.offsets[1:]]
+        self.marks = marks
 
-def _count_pattern_range(pat: Pattern, lo: int, hi: int,
-                         marks: tuple[int, ...], base: np.ndarray,
-                         cfg: Config) -> np.ndarray:
-    """Instance starts p in [lo, hi) with p <= mark, for every mark.
+    def empty(self) -> np.ndarray:
+        return np.zeros(len(self.marks), dtype=np.int64)
 
-    Only odd starts; the caller owns the p = 2 correction.  lo must be even.
-    """
-    span = 2 * cfg.segment_odds
-    reach = pat.reach
-    shifts = [o >> 1 for o in pat.offsets[1:]]
-    totals = np.zeros(len(marks), dtype=np.int64)
-    buf = np.empty(cfg.segment_odds + (reach >> 1) + 1, dtype=bool)
-    seg_lo = lo
-    while seg_lo < hi:
-        seg_hi = min(seg_lo + span, hi)
-        bits = fill_segment(seg_lo, seg_hi + reach, base, out=buf)
-        m = _odd_count(seg_lo, seg_hi)
+    def segment(self, lo: int, hi: int, bits: np.ndarray) -> np.ndarray:
+        m = _odd_count(lo, hi)
         inst = bits[:m].copy()
-        for s in shifts:
+        for s in self.shifts:
             inst &= bits[s:s + m]
         full = int(inst.sum())
-        for j, mark in enumerate(marks):
-            if mark >= seg_hi - 1:
-                totals[j] += full
-            elif mark >= seg_lo:
-                totals[j] += int(inst[:_odd_count(seg_lo, mark + 1)].sum())
-        seg_lo = seg_hi
-    return totals
+        totals = self.empty()
+        for j, mark in enumerate(self.marks):
+            if mark >= hi - 1:
+                totals[j] = full
+            elif mark >= lo:
+                totals[j] = int(inst[:_odd_count(lo, mark + 1)].sum())
+        return totals
 
+    def merge(self, acc: np.ndarray, part: np.ndarray) -> np.ndarray:
+        return acc + part
 
-def _resume_totals(path: str, task_id: str,
-                   marks: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    cp = read_latest(path)
-    if cp is None:
-        return np.zeros(len(marks), dtype=np.int64), 2
-    if cp.task_id != task_id:
-        raise CheckpointError(
-            f"checkpoint file belongs to task {cp.task_id!r}, not {task_id!r}")
-    if cp.payload.get("marks") != list(marks):
-        raise CheckpointError("checkpoint marks do not match this run")
-    totals = np.array([int(t) for t in cp.payload["totals"]], dtype=np.int64)
-    if len(totals) != len(marks):
-        raise CheckpointError("checkpoint totals length mismatch")
-    return totals, cp.range_done
+    def dump(self, totals: np.ndarray) -> dict:
+        return {"totals": [str(int(t)) for t in totals],
+                "marks": list(self.marks)}
+
+    def load(self, payload: dict, range_done: int) -> np.ndarray:
+        if payload.get("marks") != list(self.marks):
+            raise CheckpointError("checkpoint marks do not match this run")
+        totals = np.array([int(t) for t in payload["totals"]], dtype=np.int64)
+        if len(totals) != len(self.marks):
+            raise CheckpointError("checkpoint totals length mismatch")
+        return totals
 
 
 def count_pattern(pattern, limit: int, checkpoints=None, *,
@@ -200,39 +182,9 @@ def count_pattern(pattern, limit: int, checkpoints=None, *,
     if limit < 2:
         raise ValueError("limit must be at least 2")
     cfg = (cfg or Config()).validate()
-    marks = _normalize_marks(limit, checkpoints)
-    task_id = f"{pat.tag}@{limit}"
-    base = small_primes(max(isqrt(limit + pat.reach), 3))
-
-    if checkpoint_path is not None:
-        totals, start = _resume_totals(checkpoint_path, task_id, marks)
-    else:
-        totals, start = np.zeros(len(marks), dtype=np.int64), 2
-
-    end = limit + 1
-    # chunk = distance between checkpoint writes; one chunk when not resumable
-    chunk = max(2 * cfg.segment_odds, checkpoint_stride)
-    chunk += chunk % 2
-    pos = start
-    while pos < end:
-        nxt = min(pos + chunk, end) if checkpoint_path is not None else end
-        if cfg.threads > 1:
-            shards = split_range(pos, nxt, cfg.threads * 4)
-            parts = run_sharded(
-                lambda s_lo, s_hi: _count_pattern_range(
-                    pat, s_lo, s_hi, marks, base, cfg),
-                shards, cfg.threads)
-            for part in parts:
-                totals += part
-        else:
-            totals += _count_pattern_range(pat, pos, nxt, marks, base, cfg)
-        pos = nxt
-        if checkpoint_path is not None:
-            write_checkpoint(checkpoint_path, Checkpoint(
-                task_id=task_id, range_done=pos,
-                payload={"totals": [str(int(t)) for t in totals],
-                         "marks": list(marks)}))
-
+    marks = normalize_marks(limit, checkpoints)
+    totals = scan(2, limit + 1, _PatternCensus(pat, limit, marks), cfg,
+                  checkpoint_path, checkpoint_stride)
     if pat.k == 1:
         # p = 2 is prime; every multi-offset pattern puts an even number at 2+o
         totals = totals + (np.asarray(marks) >= 2)
@@ -263,7 +215,7 @@ def count_twin_almost_primes(limit: int, checkpoints=None, *,
     """
     if limit < 3:
         raise ValueError("limit must be at least 3")
-    marks = _normalize_marks(limit, checkpoints)
+    marks = normalize_marks(limit, checkpoints)
     flags = odd_prime_flags(limit + 2)
     idx = np.flatnonzero(flags).astype(np.int64)
     ps = 2 * idx + 1
@@ -314,7 +266,7 @@ def count_square_plus_one(limit: int, mode: str = "prime",
         raise ValueError("limit must be at least 2")
     if mode not in _SQUARE_MODES:
         raise ValueError(f"mode must be one of {_SQUARE_MODES}")
-    marks = _normalize_marks(limit, checkpoints)
+    marks = normalize_marks(limit, checkpoints)
     hits = []
     for m in range(1, isqrt(limit - 1) + 1):
         v = m * m + 1
@@ -412,14 +364,8 @@ def perfect_half_sum_scan(limit: int, *,
         raise ValueError("limit must be at least 7")
     cfg = (cfg or Config()).validate()
     perfect = set(_even_perfects_upto(limit + 1))
-    base = small_primes(max(isqrt(limit + 2), 3))
-    span = 2 * cfg.segment_odds
-    buf = np.empty(cfg.segment_odds + 2, dtype=bool)
     out: list[tuple[int, int]] = []
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + span, limit + 1)
-        bits = fill_segment(lo, hi + 2, base, out=buf)
+    for lo, hi, bits in Walk(limit + 1, cfg, reach=2).segments(2, limit + 1):
         m = _odd_count(lo, hi)
         inst = bits[:m] & bits[1:1 + m]
         ps = lo + 1 + 2 * np.flatnonzero(inst).astype(np.int64)
@@ -429,7 +375,6 @@ def perfect_half_sum_scan(limit: int, *,
         for p in map(int, ps):
             if p + 1 in perfect:
                 out.append((p, p + 2))
-        lo += span
     return out
 
 

@@ -11,22 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .checkpoint import Checkpoint, read_latest, write_checkpoint
 from .config import Config
-from .errors import CheckpointError
-from .sieve import (
-    _odd_count,
-    check_window,
-    fill_segment,
-    is_prime_64,
-    iter_segments,
-    small_primes,
-)
+from .scan import Kernel, scan
+from .sieve import PrimeSegment, Walk, is_prime_64
 
 __all__ = [
     "GapRecord",
@@ -94,8 +85,8 @@ def _gap_segments(bound: int,
                   cfg: Config | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (starts, gaps) arrays covering every prime start p <= bound."""
     carry = None
-    for seg in iter_segments(bound, cfg):
-        ps = seg.values()
+    for lo, hi, bits in Walk(bound + 1, cfg or Config()).segments(2, bound + 1):
+        ps = PrimeSegment(lo, hi, bits).values()
         if len(ps) == 0:
             continue
         arr = ps if carry is None else np.concatenate([[carry], ps])
@@ -134,17 +125,11 @@ def scan_gaps(limit: int, *, cfg: Config | None = None) -> GapScan:
 def first_occurrence(gap: int, limit: int, *,
                      cfg: Config | None = None) -> GapRecord | None:
     """Smallest prime p <= limit whose successor is exactly p + gap."""
-    if gap != 1 and gap % 2:
-        raise ValueError("a prime gap above 1 must be even")
     if gap < 1:
         raise ValueError("gap must be >= 1")
     if limit < 2:
         raise ValueError("limit must be at least 2")
-    for starts, gs in _gap_segments(limit, cfg):
-        hit = np.flatnonzero(gs == gap)
-        if len(hit):
-            return GapRecord(int(starts[hit[0]]), gap, "first_occurrence")
-    return None
+    return hunt_gap(gap, limit, cfg=cfg)
 
 
 def missing_gaps(limit: int, max_gap: int, *,
@@ -181,20 +166,10 @@ def _count_primes_interval(a: int, b: int, cfg: Config | None) -> int:
     """Number of primes in [a, b]."""
     if b < a or b < 2:
         return 0
-    cfg = (cfg or Config()).validate()
-    check_window(b + 1)
-    total = 1 if a <= 2 else 0
-    anchor = a if a % 2 == 0 else a - 1
-    anchor = max(anchor, 2)
-    base = small_primes(max(isqrt(b), 3))
-    span = 2 * cfg.segment_odds
-    lo = anchor
-    while lo <= b:
-        hi = min(lo + span, b + 1)
-        bits = fill_segment(lo, hi, base)
-        total += int(bits.sum())
-        lo += span
-    return total
+    walk = Walk(b + 1, (cfg or Config()).validate())
+    anchor = max(a - a % 2, 2)
+    return (1 if a <= 2 else 0) + sum(
+        int(bits.sum()) for _, _, bits in walk.segments(anchor, b + 1))
 
 
 def interval_prime_count(x: int, theta) -> IntervalCount:
@@ -274,6 +249,61 @@ def normalized_gap_extremes(limit: int, *,
     return GapExtremes(best_min, wit_min, best_max, wit_max)
 
 
+class _GapState(NamedTuple):
+    first: int | None  # first prime of the range
+    last: int | None  # last prime of the range
+    hit: int | None  # first p in the range whose successor is p + gap
+
+
+class _GapHunt(Kernel):
+    """First prime whose successor sits gap away; payload "carry" or "found"."""
+
+    def __init__(self, gap: int, stop: int):
+        self.task_id = f"gap_hunt({gap})@{stop}"
+        self.gap = gap
+
+    def empty(self) -> _GapState:
+        return _GapState(None, None, None)
+
+    def segment(self, lo: int, hi: int, bits: np.ndarray) -> _GapState:
+        ps = PrimeSegment(lo, hi, bits).values()
+        if not len(ps):
+            return self.empty()
+        hit = np.flatnonzero(np.diff(ps) == self.gap)
+        return _GapState(int(ps[0]), int(ps[-1]),
+                         int(ps[hit[0]]) if len(hit) else None)
+
+    def merge(self, acc: _GapState, part: _GapState) -> _GapState:
+        if acc.hit is not None or part.first is None:
+            return acc
+        if acc.last is None:
+            return part
+        hit = acc.last if part.first - acc.last == self.gap else part.hit
+        return _GapState(acc.first, part.last, hit)
+
+    def done(self, state: _GapState) -> bool:
+        return state.hit is not None
+
+    def finish(self, state: _GapState) -> _GapState:
+        # the trailing prime's gap may close just past the bound
+        last = state.last
+        if state.hit is None and last is not None and \
+                _next_prime_after(last) - last == self.gap:
+            state = state._replace(hit=last)
+        return state
+
+    def dump(self, state: _GapState) -> dict:
+        if state.hit is not None:
+            return {"found": str(state.hit)}
+        return {"carry": None if state.last is None else str(state.last)}
+
+    def load(self, payload: dict, range_done: int) -> _GapState:
+        if payload.get("found"):
+            return _GapState(None, None, int(payload["found"]))
+        carry = payload.get("carry")
+        return _GapState(None, None if carry is None else int(carry), None)
+
+
 def hunt_gap(gap: int, stop: int, *, start: int = 2,
              cfg: Config | None = None,
              checkpoint_path: str | None = None,
@@ -287,69 +317,11 @@ def hunt_gap(gap: int, stop: int, *, start: int = 2,
         raise ValueError("a prime gap above 1 must be even")
     if stop < start:
         raise ValueError("stop must be >= start")
-    check_window(stop + 1)
     cfg = (cfg or Config()).validate()
-    task_id = f"gap_hunt({gap})@{stop}"
-
-    pos = max(2, start - start % 2)
-    carry: int | None = None
-    if checkpoint_path is not None:
-        cp = read_latest(checkpoint_path)
-        if cp is not None:
-            if cp.task_id != task_id:
-                raise CheckpointError(
-                    f"checkpoint file belongs to task {cp.task_id!r}, "
-                    f"not {task_id!r}")
-            if cp.payload.get("found"):
-                p = int(cp.payload["found"])
-                return GapRecord(p, gap, "first_occurrence")
-            pos = cp.range_done
-            raw = cp.payload.get("carry")
-            carry = int(raw) if raw is not None else None
-
-    base = small_primes(max(isqrt(stop) + 1, 3))
-    span = 2 * cfg.segment_odds
-    stride = max(span, checkpoint_stride)
-    next_write = pos + stride
-    while pos <= stop:
-        hi = min(pos + span, stop + 1)
-        bits = fill_segment(pos, hi, base)
-        ps = pos + 1 + 2 * np.flatnonzero(bits).astype(np.int64)
-        if pos <= 2 < hi:
-            ps = np.concatenate([[2], ps])
-        if len(ps):
-            arr = ps if carry is None else np.concatenate([[carry], ps])
-            if len(arr) >= 2:
-                gs = np.diff(arr)
-                hit = np.flatnonzero(gs == gap)
-                if len(hit):
-                    p = int(arr[:-1][hit[0]])
-                    if checkpoint_path is not None:
-                        write_checkpoint(checkpoint_path, Checkpoint(
-                            task_id=task_id, range_done=pos,
-                            payload={"found": str(p)}))
-                    return GapRecord(p, gap, "first_occurrence")
-            carry = int(arr[-1])
-        pos = hi if hi % 2 == 0 else hi + 1
-        if checkpoint_path is not None and pos >= next_write and pos <= stop:
-            write_checkpoint(checkpoint_path, Checkpoint(
-                task_id=task_id, range_done=pos,
-                payload={"carry": None if carry is None else str(carry)}))
-            next_write = pos + stride
-    # the trailing prime's gap may close just past the bound
-    if carry is not None and carry <= stop:
-        nxt = _next_prime_after(carry)
-        if nxt - carry == gap:
-            if checkpoint_path is not None:
-                write_checkpoint(checkpoint_path, Checkpoint(
-                    task_id=task_id, range_done=stop,
-                    payload={"found": str(carry)}))
-            return GapRecord(carry, gap, "first_occurrence")
-    if checkpoint_path is not None:
-        write_checkpoint(checkpoint_path, Checkpoint(
-            task_id=task_id, range_done=stop + 1,
-            payload={"carry": None if carry is None else str(carry)}))
-    return None
+    state = scan(max(2, start - start % 2), stop + 1, _GapHunt(gap, stop),
+                 cfg, checkpoint_path, checkpoint_stride)
+    return (None if state.hit is None
+            else GapRecord(state.hit, gap, "first_occurrence"))
 
 
 def first_occurrences_csv(firsts: dict[int, int]) -> str:

@@ -1,0 +1,116 @@
+"""The segmented scan driver: chunks, shards, checkpoints and resume.
+
+scan() runs a Kernel over [lo, hi) in chunks of max(stride, span)
+integers, each split into shards that walk their segments serially
+(sieve.Walk).  Shard states merge in range order; the state is
+checkpointed after every chunk.  After Oliveira e Silva, Herzog and
+Pardi, Math. Comp. 83 (2014).
+"""
+from __future__ import annotations
+
+import threading
+
+from .checkpoint import Checkpoint, read_latest, write_checkpoint
+from .config import Config
+from .errors import CheckpointError
+from .parallel import run_sharded, split_range
+from .sieve import Walk
+
+
+def normalize_marks(limit: int, checkpoints) -> tuple[int, ...]:
+    """Sorted distinct report marks in [1, limit]; (limit,) when none given."""
+    if checkpoints is None:
+        return (int(limit),)
+    marks = tuple(sorted({int(c) for c in checkpoints}))
+    if not marks:
+        raise ValueError("checkpoints must be non-empty when given")
+    if marks[0] < 1:
+        raise ValueError("checkpoints must be positive")
+    if marks[-1] > limit:
+        raise ValueError("checkpoints must not exceed the limit")
+    return marks
+
+
+def resume(path: str, task_id: str) -> Checkpoint | None:
+    """The file's latest checkpoint (None if none); it must be task_id's."""
+    cp = read_latest(path)
+    if cp is not None and cp.task_id != task_id:
+        raise CheckpointError(
+            f"checkpoint file belongs to task {cp.task_id!r}, not {task_id!r}")
+    return cp
+
+
+class Kernel:
+    """A reduction that scan() runs segment by segment, named by task_id.
+
+    Subclasses define empty(), the state of an empty range; segment(lo,
+    hi, bits), the state of one segment (bits as sieve.Walk yields it);
+    merge(acc, part), acc's range followed by part's; dump(state), a
+    checkpoint payload; and load(payload, range_done), its inverse.  An
+    exact (integer) merge lets chunks split by the thread count;
+    otherwise shards are a fixed number of segments.
+    """
+
+    reach = 0
+    exact = True
+
+    def done(self, state) -> bool:
+        """True once merge(state, x) is state for every x; the scan stops."""
+        return False
+
+    def finish(self, state):
+        """The state once all of [lo, hi) is merged in."""
+        return state
+
+
+def scan(lo: int, hi: int, kernel: Kernel, cfg: Config,
+         checkpoint_path: str | None = None, stride: int = 1 << 28):
+    """Run kernel over [lo, hi), lo even, and return its final state.
+
+    With checkpoint_path the state is saved after every chunk, and a run
+    that finds the file resumes from its last state.
+    """
+    state, pos = kernel.empty(), lo
+    if checkpoint_path is not None:
+        cp = resume(checkpoint_path, kernel.task_id)
+        if cp is not None:
+            try:
+                state = kernel.load(cp.payload, cp.range_done)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"malformed payload: {exc}") from exc
+            pos = cp.range_done
+    walk = Walk(hi, cfg, kernel.reach)
+    first_done = [hi]  # lowest start of a shard found done
+    lock = threading.Lock()
+
+    def worker(s_lo: int, s_hi: int):
+        acc = kernel.empty()
+        if first_done[0] <= s_lo:
+            return acc  # an earlier shard is done
+        for seg in walk.segments(s_lo, s_hi):
+            acc = kernel.merge(acc, kernel.segment(*seg))
+            if kernel.done(acc):
+                with lock:
+                    first_done[0] = min(first_done[0], s_lo)
+            if first_done[0] <= s_lo:
+                break  # this shard or an earlier one is done
+        return acc
+
+    chunk = max(stride, walk.span)
+    chunk -= chunk % 2
+    while pos < hi and not kernel.done(state):
+        nxt = min(pos + chunk, hi)
+        if kernel.exact:
+            parts = cfg.threads * 4 if cfg.threads > 1 else 1
+        else:
+            parts = -(-(nxt - pos) // (8 * walk.span))
+        shards = split_range(pos, nxt, parts)
+        for part in run_sharded(worker, shards, cfg.threads):
+            state = kernel.merge(state, part)
+        pos = nxt
+        if pos == hi:
+            state = kernel.finish(state)
+        if checkpoint_path is not None:
+            write_checkpoint(checkpoint_path, Checkpoint(
+                kernel.task_id, pos, kernel.dump(state)))
+    return state

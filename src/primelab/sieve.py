@@ -21,12 +21,11 @@ import math
 import random
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .config import Config
-from .errors import ResourceLimitError
 
 # Deterministic Miller-Rabin witness set: the first twelve primes decide
 # primality for every n < 3.1e23, which covers the full 64-bit range.
@@ -186,20 +185,27 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
     return bits
 
 
-def sieve_segment(lo: int, hi: int, cfg: Config | None = None) -> PrimeSegment:
-    """Sieve one segment; range must fit the configured segment budget."""
-    if not (2 <= lo < hi):
-        raise ValueError("need 2 <= lo < hi")
-    cfg = cfg or Config()
-    seg_lo = lo if lo % 2 == 0 else lo - 1
-    n = _odd_count(seg_lo, hi)
-    if n > cfg.segment_odds:
-        raise ResourceLimitError(
-            f"segment of {n} odds exceeds budget of {cfg.segment_odds}; "
-            "raise sieve.segment_bytes or tile the range")
-    base = small_primes(max(isqrt(hi - 1), 3))
-    bits = fill_segment(seg_lo, hi, base)
-    return PrimeSegment(seg_lo, hi, bits)
+class Walk:
+    """The serial segment walk under every segmented scan up to top.
+
+    The window check and base table are built once, so shards on several
+    threads share them.  segments(lo, hi), lo even, yields (seg_lo,
+    seg_hi, bits) tiling [lo, hi); bits marks the odds of [seg_lo,
+    seg_hi + reach) in a buffer reused by the next step.
+    """
+
+    def __init__(self, top: int, cfg: Config, reach: int = 0):
+        check_window(top + reach)
+        self.span = 2 * cfg.segment_odds
+        self.reach = reach
+        self.base = small_primes(max(isqrt(top + reach - 1), 3))
+
+    def segments(self, lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        buf = np.empty(self.span // 2 + (self.reach >> 1) + 1, dtype=bool)
+        for seg_lo in range(lo, hi, self.span):
+            seg_hi = min(seg_lo + self.span, hi)
+            yield seg_lo, seg_hi, fill_segment(seg_lo, seg_hi + self.reach,
+                                               self.base, out=buf)
 
 
 def iter_segments(limit: int, cfg: Config | None = None) -> Iterator[PrimeSegment]:
@@ -210,30 +216,15 @@ def iter_segments(limit: int, cfg: Config | None = None) -> Iterator[PrimeSegmen
     """
     if limit < 2:
         return
-    cfg = cfg or Config()
-    span = 2 * cfg.segment_odds
-    base = small_primes(max(isqrt(limit), 3))
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + span, limit + 1)
-        bits = fill_segment(lo, hi, base)
-        yield PrimeSegment(lo, hi, bits)
-        lo += span
+    walk = Walk(limit + 1, cfg or Config())
+    for lo, hi, bits in walk.segments(2, limit + 1):
+        yield PrimeSegment(lo, hi, bits.copy())
 
 
 def iter_primes(limit: int, cfg: Config | None = None) -> Iterator[int]:
     """Yield every prime <= limit in increasing order."""
     for seg in iter_segments(limit, cfg):
         yield from seg.primes()
-
-
-def iterate_primes(limit: int, visitor: Callable[[int], None],
-                   cfg: Config | None = None) -> None:
-    """Visit every prime <= limit exactly once, in increasing order."""
-    if limit < 2:
-        raise ValueError("limit must be at least 2")
-    for p in iter_primes(limit, cfg):
-        visitor(p)
 
 
 def primes_array(limit: int, cfg: Config | None = None) -> np.ndarray:

@@ -15,6 +15,7 @@ from primelab.brun import (
 )
 from primelab.census import count_pairs_2k
 from primelab.config import Config
+from primelab.errors import CheckpointError
 
 from conftest import naive_sieve
 
@@ -118,11 +119,11 @@ def test_extrapolation_shape():
 
 
 def test_interrupted_resume_bit_exact(tmp_path, monkeypatch):
-    import primelab.brun as brun_mod
+    import primelab.scan as scan_mod
     path = str(tmp_path / "brun.jsonl")
     cfg = Config(segment_bytes=1 << 16)
     calls = {"n": 0}
-    orig = brun_mod.write_checkpoint
+    orig = scan_mod.write_checkpoint
 
     def bomb(*a, **k):
         calls["n"] += 1
@@ -130,11 +131,11 @@ def test_interrupted_resume_bit_exact(tmp_path, monkeypatch):
         if calls["n"] == 2:
             raise KeyboardInterrupt
 
-    monkeypatch.setattr(brun_mod, "write_checkpoint", bomb)
+    monkeypatch.setattr(scan_mod, "write_checkpoint", bomb)
     with pytest.raises(KeyboardInterrupt):
         brun_partial(3 * 10**6, [10**6, 3 * 10**6], cfg=cfg,
                      checkpoint_path=path, checkpoint_stride=1 << 20)
-    monkeypatch.setattr(brun_mod, "write_checkpoint", orig)
+    monkeypatch.setattr(scan_mod, "write_checkpoint", orig)
 
     resumed = brun_partial(3 * 10**6, [10**6, 3 * 10**6], cfg=cfg,
                            checkpoint_path=path, checkpoint_stride=1 << 20)
@@ -150,6 +151,16 @@ def test_interrupted_resume_bit_exact(tmp_path, monkeypatch):
     for a, b in zip(resumed, plain):
         assert abs(float(a.sum) - float(b.sum)) < 1e-14
         assert a.pair_count == b.pair_count
+
+
+def test_resume_rejects_other_marks(tmp_path):
+    path = str(tmp_path / "brun.jsonl")
+    brun_partial(10**6, [10**4, 10**6], checkpoint_path=path)
+    with pytest.raises(CheckpointError, match="marks"):
+        brun_partial(10**6, [10**3, 10**5, 10**6], checkpoint_path=path)
+    # a rerun with the same marks still resumes the finished run
+    rows = brun_partial(10**6, [10**4, 10**6], checkpoint_path=path)
+    assert [r.pair_count for r in rows] == [205, 8169]
 
 
 def test_table_report_contents():

@@ -117,12 +117,17 @@ def test_int_arg_forms(capsys):
         assert out.splitlines()[-1] == "100000,9592"
 
 
-def test_threads_flag_beats_env(monkeypatch):
+def test_threads_flag_beats_env(monkeypatch, tmp_path):
     monkeypatch.setenv("PRIMELAB_THREADS", "7")
     cfg = resolve(Config(), threads=2)
     assert cfg.threads == 2
     cfg = resolve(Config())
     assert cfg.threads == 7
+    # the environment beats the config file
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"threads": 4}))
+    assert resolve(from_file(str(path))).threads == 7
+    assert resolve(from_file(str(path)), threads=2).threads == 2
 
 
 def test_config_file_round_trip(tmp_path):
@@ -140,12 +145,12 @@ def test_config_file_round_trip(tmp_path):
 
 
 def test_resume_byte_identical_via_cli(tmp_path, capsys, monkeypatch):
-    import primelab.census as census_mod
+    import primelab.scan as scan_mod
     ck = str(tmp_path / "ck.jsonl")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
 
     calls = {"n": 0}
-    orig = census_mod.write_checkpoint
+    orig = scan_mod.write_checkpoint
 
     def bomb(*args, **kwargs):
         calls["n"] += 1
@@ -153,12 +158,12 @@ def test_resume_byte_identical_via_cli(tmp_path, capsys, monkeypatch):
         if calls["n"] == 1:
             raise KeyboardInterrupt
 
-    monkeypatch.setattr(census_mod, "write_checkpoint", bomb)
+    monkeypatch.setattr(scan_mod, "write_checkpoint", bomb)
     with pytest.raises(KeyboardInterrupt):
         main(["census", "pairs", "--gap", "2", "--limit", "3e6",
               "--segment-bytes", "65536", "--stride", "1048576",
               "--checkpoint", ck])
-    monkeypatch.setattr(census_mod, "write_checkpoint", orig)
+    monkeypatch.setattr(scan_mod, "write_checkpoint", orig)
 
     from primelab.checkpoint import read_latest
     assert read_latest(ck).range_done < 3 * 10**6  # genuinely mid-run

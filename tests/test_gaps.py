@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-import primelab.gaps as gaps_mod
+import primelab.sieve as sieve_mod
 from primelab.config import Config
 from primelab.gaps import (
     _count_primes_interval,
@@ -113,7 +113,7 @@ def test_windows_past_int64_rejected_before_base_table(monkeypatch):
     def no_table(bound):
         raise AssertionError(f"base table of {bound} built")
 
-    monkeypatch.setattr(gaps_mod, "small_primes", no_table)
+    monkeypatch.setattr(sieve_mod, "small_primes", no_table)
     with pytest.raises(ValueError, match="int64"):
         _count_primes_interval(2**63 + 10, 2**63 + 20, None)
     with pytest.raises(ValueError, match="int64"):

@@ -1,0 +1,174 @@
+"""The scan driver: interruption and resume, thread invariance, old files.
+
+Every checkpointed job writes through scan.write_checkpoint, so one
+fault-injection hook covers census, Brun and the gap hunt.
+"""
+import importlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import primelab.scan as scan_mod
+from primelab.brun import brun_partial, format_longdouble
+from primelab.census import count_pairs_2k
+from primelab.config import Config
+from primelab.errors import CheckpointError
+from primelab.gaps import hunt_gap
+
+from conftest import naive_sieve
+
+MARKS = [10**3, 5 * 10**4, 2 * 10**5]
+STRIDE = 1 << 14  # 13 chunks below 2e5
+
+
+def _census(path, threads=2):
+    return count_pairs_2k(1, 2 * 10**5, MARKS,
+                          cfg=Config(segment_bytes=1 << 10, threads=threads),
+                          checkpoint_path=path, checkpoint_stride=STRIDE).rows
+
+
+def _brun(path, threads=1):
+    rows = brun_partial(2 * 10**5, MARKS,
+                        cfg=Config(segment_bytes=1 << 10, threads=threads),
+                        checkpoint_path=path, checkpoint_stride=STRIDE)
+    return [(r.limit, format_longdouble(r.sum), r.pair_count) for r in rows]
+
+
+def _hunt(path, threads=1):
+    # gap 86 first occurs at 155921, in the tenth chunk
+    return hunt_gap(86, 2 * 10**5,
+                    cfg=Config(segment_bytes=1 << 10, threads=threads),
+                    checkpoint_path=path, checkpoint_stride=STRIDE)
+
+
+def _hunt_trailing(path, threads=1):
+    # the last prime below the stop is 155921; its successor lies past it
+    return hunt_gap(86, 155950,
+                    cfg=Config(segment_bytes=1 << 10, threads=threads),
+                    checkpoint_path=path, checkpoint_stride=STRIDE)
+
+
+JOBS = {"census": _census, "brun": _brun, "hunt": _hunt,
+        "hunt_trailing": _hunt_trailing}
+
+
+class Crash(Exception):
+    pass
+
+
+@pytest.mark.parametrize("written", [True, False],
+                         ids=["after_write", "before_write"])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_interrupt_at_any_chunk_then_resume(job, at, written, tmp_path,
+                                            monkeypatch):
+    run = JOBS[job]
+    fresh = run(None)  # same stride, so Brun's digits must match exactly
+    orig = scan_mod.write_checkpoint
+    writes = []
+
+    def counting(path, cp):
+        writes.append(cp.range_done)
+        orig(path, cp)
+
+    monkeypatch.setattr(scan_mod, "write_checkpoint", counting)
+    assert run(str(tmp_path / "whole.jsonl")) == fresh
+    assert len(writes) >= 3 and writes == sorted(writes)
+    k = {"first": 1, "middle": (len(writes) + 1) // 2, "last": len(writes)}[at]
+
+    path = str(tmp_path / "cut.jsonl")
+    calls = []
+
+    def crash(path, cp):
+        calls.append(cp)
+        if len(calls) == k:
+            if written:
+                orig(path, cp)
+            raise Crash
+        orig(path, cp)
+
+    monkeypatch.setattr(scan_mod, "write_checkpoint", crash)
+    with pytest.raises(Crash):
+        run(path)
+    monkeypatch.setattr(scan_mod, "write_checkpoint", orig)
+    assert run(path) == fresh
+    assert run(path) == fresh  # and again, from the finished file
+
+
+def test_hunt_gap_thread_invariance():
+    ps = naive_sieve(2 * 10**5 + 100)
+    firsts = {}
+    for a, b in zip(ps, ps[1:]):
+        firsts.setdefault(b - a, a)
+    gaps = (1, 2, 36, 72, 86, 778)
+    want = [firsts.get(g) for g in gaps] + [31397]
+    interval = sys.getswitchinterval()
+    # 8 threads on short switches: shards that stop early must never
+    # hide an earlier hit
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 8):
+            cfg = Config(segment_bytes=1 << 10, threads=threads)
+            got = [hunt_gap(g, 2 * 10**5, cfg=cfg, checkpoint_stride=STRIDE)
+                   for g in gaps]
+            got.append(hunt_gap(72, 10**5, start=31000, cfg=cfg))
+            assert [r and r.p for r in got] == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# Checkpoint lines in the payload conventions of earlier releases, taken
+# mid-run (range_done 81922) from the jobs above.
+OLD_LINES = {
+    "census": '{"payload": {"marks": [1000, 50000, 200000], "totals": '
+              '["35", "705", "1030"]}, "range_done": 81922, '
+              '"task_id": "pattern(0,2)@200000", "version": 1}',
+    "brun": '{"payload": {"comp": "0.000000000000000000011011428314305904408", '
+            '"pairs": "1030", "rows": [[1000, "1.5180324635595909886", 35], '
+            '[50000, "1.6584642393664188941", 705]], '
+            '"sum": "1.6685168005348234892"}, "range_done": 81922, '
+            '"task_id": "brun@200000", "version": 1}',
+    "hunt": '{"payload": {"carry": "81919"}, "range_done": 81922, '
+            '"task_id": "gap_hunt(86)@200000", "version": 1}',
+    "hunt_found": '{"payload": {"found": "155921"}, "range_done": 155650, '
+                  '"task_id": "gap_hunt(86)@200000", "version": 1}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_LINES))
+def test_old_checkpoint_lines_resume(name, tmp_path):
+    run = JOBS[name.removesuffix("_found")]
+    path = tmp_path / "old.jsonl"
+    path.write_text(OLD_LINES[name] + "\n")
+    assert run(str(path)) == run(None)
+
+
+@pytest.mark.parametrize("name, payload", [
+    ("census", {"marks": MARKS}),
+    ("brun", {"sum": "1.5", "comp": "0", "pairs": "x", "rows": []}),
+    ("hunt", {"found": "p"}),
+])
+def test_malformed_payload_is_checkpoint_error(name, payload, tmp_path):
+    task = {"census": "pattern(0,2)@200000", "brun": "brun@200000",
+            "hunt": "gap_hunt(86)@200000"}[name]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"payload": payload, "range_done": 81922,
+                                "task_id": task, "version": 1}) + "\n")
+    with pytest.raises(CheckpointError, match="malformed"):
+        JOBS[name](str(path))
+
+
+def test_traced_layers_resolve():
+    # the benchmark's tracer wraps these names; a rename must fail here
+    spans_py = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_py)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for table in (spans.SPANNED, spans.COUNTED):
+        for layer, names in table.items():
+            mod = importlib.import_module(f"primelab.{layer}")
+            for name in names:
+                assert callable(getattr(mod, name, None)), f"{layer}.{name}"
