@@ -15,13 +15,13 @@ from math import isqrt
 
 import numpy as np
 
-from .config import Config
+from .config import DEFAULT_SEGMENT_BYTES, Config
 from .errors import CheckpointError, MathViolationError, ResourceLimitError
 from .scan import Kernel, normalize_marks, scan
 from .sieve import (
+    INT64_BOUND,
     Walk,
     _odd_count,
-    factorize_64,
     is_prime_64,
     iter_primes,
     odd_prime_flags,
@@ -254,6 +254,70 @@ def count_twin_almost_primes(limit: int, checkpoints=None, *,
 _SQUARE_MODES = ("prime", "omega_le_2", "bigomega_le_2")
 
 
+def _pow_mod(c: int, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """c**e mod p elementwise for uint64 arrays with p < 2**32."""
+    out = np.ones_like(p)
+    b = np.uint64(c) % p
+    while e.any():
+        odd = (e & 1) == 1
+        out[odd] = out[odd] * b[odd] % p[odd]
+        b = b * b % p
+        e = e >> 1
+    return out
+
+
+def _minus_one_roots(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moduli p and residues r with p | r*r + 1, ascending in p (int64).
+
+    p runs over the given primes that are 2 or 1 mod 4; no other prime
+    divides any m*m + 1.  2 has the one class 1; p = 1 mod 4 has the two
+    classes +-c**((p - 1)/4), c the least quadratic non-residue, found
+    for every p at once by trying c = 2, 3, ... in turn: by Euler's
+    criterion c**((p - 1)/4) squares to -1 exactly when c is a
+    non-residue.  The primes must lie below 2**32, so that products of
+    residues fit in uint64.
+    """
+    ps = primes[(primes & 3) == 1].astype(np.uint64)
+    root = np.zeros_like(ps)
+    todo = np.arange(len(ps))
+    c = 2
+    while len(todo):
+        p = ps[todo]
+        x = _pow_mod(c, (p - 1) >> 2, p)
+        hit = x * x % p == p - 1
+        root[todo[hit]] = x[hit]
+        todo = todo[~hit]
+        c += 1
+    two = primes[:1]  # [2], or empty when there are no primes
+    mods = np.concatenate((two, np.repeat(ps, 2).astype(np.int64)))
+    res = np.concatenate((two - 1, np.column_stack((root, ps - root))
+                          .ravel().astype(np.int64)))
+    return mods, res
+
+
+def _class_hits(first: np.ndarray, mods: np.ndarray, m0: int, n: int):
+    """Yield, for the block of m0 .. m0 + n - 1, the offsets of the m in
+    each class m = first[i] (mod mods[i]) with m >= first[i]; mods ascend.
+
+    A modulus below max(64, n // 64) comes alone, as (slice, p); the
+    larger ones come together as (offsets, moduli) arrays, one pass per
+    hit, as in sieve.fill_segment.
+    """
+    starts = np.remainder(first - m0, mods)
+    np.maximum(starts, first - m0, out=starts)
+    split = int(np.searchsorted(mods, max(64, n // 64)))
+    for i, p in zip(starts[:split].tolist(), mods[:split].tolist()):
+        if i < n:
+            yield slice(i, n, p), p
+    keep = starts[split:] < n
+    bi, bp = starts[split:][keep], mods[split:][keep]
+    while len(bi):
+        yield bi, bp
+        bi = bi + bp
+        keep = bi < n
+        bi, bp = bi[keep], bp[keep]
+
+
 def count_square_plus_one(limit: int, mode: str = "prime",
                           checkpoints=None) -> CountTable:
     """Census of m*m + 1 <= limit by primality or prime-divisor budget.
@@ -261,24 +325,62 @@ def count_square_plus_one(limit: int, mode: str = "prime",
     mode="prime" counts primes of that shape; "omega_le_2" allows at most
     two distinct prime divisors; "bigomega_le_2" at most two with
     multiplicity.
+
+    Method: a sieve over m = 1 .. top = isqrt(limit - 1) by the square
+    roots of -1, the usual sieve for prime values of a quadratic (as in
+    Jacobson and Williams, Math. Comp. 72 (2003)).  A prime p <= top divides m*m + 1 exactly when p = 2
+    and m is odd, or p = 1 mod 4 and m = +-r (mod p) with r*r = -1
+    (mod p); no other prime divides it.  Prime mode crosses off both
+    classes, except the m with m*m + 1 = p.  The omega modes divide p
+    out of m*m + 1 on both classes, as often as it divides, counting p
+    once or per division.  What is left above 1 is one prime: it is at
+    most top**2 + 1 and has no prime factor <= top.  The domain is
+    limit < 2**63, so m*m + 1 fits in int64.  Memory: the primes up to
+    top and their roots, plus one block of at most DEFAULT_SEGMENT_BYTES
+    values of m at a time, a byte per m in prime mode and an int64
+    cofactor plus index arrays per m in the omega modes.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
+    if limit >= INT64_BOUND:
+        raise ValueError("limit must be below 2**63, the int64 domain")
     if mode not in _SQUARE_MODES:
         raise ValueError(f"mode must be one of {_SQUARE_MODES}")
     marks = normalize_marks(limit, checkpoints)
-    hits = []
-    for m in range(1, isqrt(limit - 1) + 1):
-        v = m * m + 1
+    top = isqrt(limit - 1)
+    mods, first = _minus_one_roots(small_primes(top))
+    if mode == "prime":
+        # m*m + 1 = p is the prime p itself: start its class one lap later
+        first = first + mods * (first * first + 1 == mods)
+    mark_ms = np.array([isqrt(mark - 1) for mark in marks], dtype=np.int64)
+    counts = np.zeros(len(marks), dtype=np.int64)
+    for m0 in range(1, top + 1, DEFAULT_SEGMENT_BYTES):
+        n = min(DEFAULT_SEGMENT_BYTES, top + 1 - m0)
         if mode == "prime":
-            ok = is_prime_64(v)
+            ok = np.ones(n, dtype=bool)
+            for hit, _ in _class_hits(first, mods, m0, n):
+                ok[hit] = False
         else:
-            f = factorize_64(v)
-            ok = (f.small_omega if mode == "omega_le_2" else f.big_omega) <= 2
-        if ok:
-            hits.append(v)
-    counts = np.searchsorted(np.asarray(hits, dtype=np.int64),
-                             np.asarray(marks), side="right")
+            rest = np.arange(m0, m0 + n, dtype=np.int64)
+            rest *= rest
+            rest += 1
+            cnt = np.zeros(n, dtype=np.int8)
+            one = np.int8(1)
+            offsets = np.arange(n)
+            for hit, p in _class_hits(first, mods, m0, n):
+                pos = offsets[hit]
+                p = np.broadcast_to(p, pos.shape)
+                # unbuffered .at: one pass of large moduli may hit an m twice
+                np.add.at(cnt, pos, one)
+                while len(pos):
+                    np.floor_divide.at(rest, pos, p)
+                    again = rest[pos] % p == 0
+                    pos, p = pos[again], p[again]
+                    if mode == "bigomega_le_2":
+                        np.add.at(cnt, pos, one)
+            ok = cnt + (rest > 1) <= 2
+        ms = m0 + np.flatnonzero(ok)
+        counts += np.searchsorted(ms, mark_ms, side="right")
     return CountTable(f"square_plus_one({mode})",
                       tuple(zip(marks, map(int, counts))))
 

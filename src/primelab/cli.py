@@ -406,8 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config file path")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="write output to a file")
-    common.add_argument("--checkpoint", default=None,
-                        help="resumable checkpoint file path")
+    # only the resumable jobs take a checkpoint file
+    resumable = argparse.ArgumentParser(add_help=False)
+    resumable.add_argument("--checkpoint", default=None,
+                           help="resumable checkpoint file path")
 
     p = argparse.ArgumentParser(prog="primelab",
                                 description="prime constellation toolkit")
@@ -428,12 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("census", parents=[common],
                         help="constellation counting")
     sc = pc.add_subparsers(dest="shape", required=True)
-    c = sc.add_parser("pairs", parents=[common])
+    c = sc.add_parser("pairs", parents=[common, resumable])
     c.add_argument("--gap", type=_int_arg, default=2)
     c.add_argument("--limit", type=_int_arg, required=True)
     c.add_argument("--checkpoints", type=_int_list, default=None)
     c.add_argument("--stride", type=_int_arg, default=1 << 28)
-    c = sc.add_parser("pattern", parents=[common])
+    c = sc.add_parser("pattern", parents=[common, resumable])
     c.add_argument("--offsets", type=_offsets_arg, required=True)
     c.add_argument("--limit", type=_int_arg, required=True)
     c.add_argument("--checkpoints", type=_int_list, default=None)
@@ -469,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sg.add_parser("short-interval", parents=[common])
     c.add_argument("--n", type=_int_arg, required=True)
     c.add_argument("--exponent", type=float, default=1.5)
-    c = sg.add_parser("hunt", parents=[common])
+    c = sg.add_parser("hunt", parents=[common, resumable])
     c.add_argument("--gap", type=_int_arg, required=True)
     c.add_argument("--stop", type=_int_arg, required=True)
     c.add_argument("--start", type=_int_arg, default=2)
@@ -513,11 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("brun", parents=[common],
                         help="twin reciprocal sums")
     sb = pb.add_subparsers(dest="action", required=True)
-    c = sb.add_parser("partial", parents=[common])
+    c = sb.add_parser("partial", parents=[common, resumable])
     c.add_argument("--limit", type=_int_arg, required=True)
     c.add_argument("--checkpoints", type=_int_list, default=None)
     c.add_argument("--stride", type=_int_arg, default=1 << 28)
-    c = sb.add_parser("table", parents=[common])
+    c = sb.add_parser("table", parents=[common, resumable])
     c.add_argument("--limit", type=_int_arg, required=True)
     c.add_argument("--checkpoints", type=_int_list, default=None)
     c.add_argument("--stride", type=_int_arg, default=1 << 28)

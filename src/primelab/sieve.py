@@ -151,14 +151,13 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
     if n == 0:
         return bits
     top = isqrt(hi - 1)
-    last = int(base_primes[-1]) if len(base_primes) else 1
-    if top >= 3 and last < top:
-        # the table may legitimately end below top (largest prime <= top);
-        # it is short only if a real prime hides in the gap
-        if any(is_prime_64(c) for c in range(last + 1, top + 1)):
-            raise ValueError("base prime table too small for segment")
     ps = base_primes[np.searchsorted(base_primes, 3):
                      np.searchsorted(base_primes, top, side="right")]
+    last = int(base_primes[-1]) if len(base_primes) else 1
+    # a table may end below top at the largest prime <= top; one that
+    # does is short unless it holds every odd prime <= top
+    if top >= 3 and last < top and len(ps) < len(small_primes(top)) - 1:
+        raise ValueError("base prime table too small for segment")
     # index of each prime's first odd multiple >= max(p*p, lo + 1): the
     # first multiple >= lo + 1 sits d = -(lo + 1) mod p past it, and the
     # next one after it when d is odd

@@ -1,7 +1,8 @@
 import itertools
+from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from primelab.census import (
@@ -165,6 +166,95 @@ def test_square_plus_one_vs_brute_force(prime_set_padded):
     assert count_square_plus_one(10**5, "omega_le_2").final_count == want_om
     with pytest.raises(ValueError):
         count_square_plus_one(10**5, "nonsense")
+
+
+_SQUARE_TOP = 10**7
+
+
+@pytest.fixture(scope="module")
+def square_oracle():
+    """(m*m + 1, prime?, omega, Omega) for every m*m + 1 <= 1e7, by sympy."""
+    import sympy
+    rows = []
+    for m in range(1, isqrt(_SQUARE_TOP - 1) + 1):
+        f = sympy.factorint(m * m + 1)
+        rows.append((m * m + 1, sympy.isprime(m * m + 1), len(f),
+                     sum(f.values())))
+    return rows
+
+
+def _square_limits():
+    top = isqrt(_SQUARE_TOP - 1)
+    return st.one_of(st.integers(2, _SQUARE_TOP),
+                     st.integers(1, top).map(lambda m: m * m + 1),
+                     st.integers(2, top).map(lambda m: m * m))
+
+
+@given(limit=_square_limits(), block=st.sampled_from([None, 1, 7, 64, 1000]),
+       data=st.data())
+@example(limit=2, block=None, data=None)
+@example(limit=4, block=None, data=None)
+@example(limit=5, block=None, data=None)
+@example(limit=10, block=1, data=None)
+@example(limit=17, block=None, data=None)
+@example(limit=26, block=2, data=None)
+@example(limit=37, block=None, data=None)
+@example(limit=_SQUARE_TOP, block=None, data=None)
+@example(limit=_SQUARE_TOP, block=97, data=None)
+def test_square_plus_one_sieve_vs_sympy(square_oracle, limit, block, data):
+    import primelab.census as census
+    marks = [limit]
+    if data is not None:
+        marks += data.draw(st.lists(st.integers(1, limit), max_size=6))
+    marks = sorted(set(marks))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:  # blocks of m this long, not 4 MiB
+            mp.setattr(census, "DEFAULT_SEGMENT_BYTES", block)
+        for mode, ok in (("prime", lambda r: r[1]),
+                         ("omega_le_2", lambda r: r[2] <= 2),
+                         ("bigomega_le_2", lambda r: r[3] <= 2)):
+            want = tuple((mark, sum(1 for r in square_oracle
+                                    if r[0] <= mark and ok(r)))
+                         for mark in marks)
+            got = count_square_plus_one(limit, mode, marks).rows
+            assert got == want, mode
+
+
+def test_square_plus_one_published_and_parent_counts():
+    # primes m*m + 1 below 10**n, n = 1..12 (OEIS A083844)
+    decades = [10**n for n in range(1, 13)]
+    want = [2, 4, 10, 19, 51, 112, 316, 841, 2378, 6656, 18822, 54110]
+    table = count_square_plus_one(10**12, "prime", decades)
+    assert table.rows == tuple(zip(decades, want))
+    # the per-m factorization loop this sieve replaced gave these
+    for mode, c8, c10 in (("omega_le_2", 3867, 31310),
+                          ("bigomega_le_2", 3666, 29911)):
+        table = count_square_plus_one(10**10, mode, [10**8, 10**10])
+        assert table.rows == ((10**8, c8), (10**10, c10)), mode
+
+
+def test_square_plus_one_tests_no_candidate(monkeypatch):
+    import primelab.census as census
+    import primelab.sieve as sieve
+
+    def bomb(*args):
+        raise AssertionError("per-candidate test called")
+
+    for mod in (census, sieve):
+        for name in ("is_prime_64", "factorize_64"):
+            monkeypatch.setattr(mod, name, bomb, raising=False)
+    assert count_square_plus_one(10**8, "prime").final_count == 841
+    assert count_square_plus_one(10**8, "omega_le_2").final_count == 3867
+    assert count_square_plus_one(10**8, "bigomega_le_2").final_count == 3666
+
+
+def test_square_plus_one_rejects_limits_past_int64(capsys):
+    from primelab.cli import main
+    for mode in ("prime", "omega_le_2", "bigomega_le_2"):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            count_square_plus_one(2**63, mode)
+    assert main(["census", "square1", "--limit", str(2**63)]) == 2
+    assert "2**63" in capsys.readouterr().err
 
 
 def test_twin_members_mod_six(prime_set_padded):

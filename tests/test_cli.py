@@ -102,6 +102,22 @@ def test_exit_code_checkpoint_error(tmp_path, capsys):
     assert "garbage" in path.read_text()  # file preserved
 
 
+def test_checkpoint_only_where_honoured(tmp_path, capsys):
+    path = tmp_path / "cp.jsonl"
+    for argv in (["census", "square1", "--limit", "1e8"],
+                 ["census", "twin-almost", "--limit", "1e4"],
+                 ["goldbach", "verify", "--from", "4", "--to", "100"],
+                 ["census", "--checkpoint", str(path), "pairs",
+                  "--limit", "1e4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--checkpoint", str(path)])
+        assert exc.value.code == 2
+        assert not path.exists()
+    assert main(["census", "pairs", "--limit", "1e4",
+                 "--checkpoint", str(path)]) == 0
+    assert path.exists()
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code = main(["census", "pairs", "--gap", "2", "--limit", "1e5",

@@ -168,6 +168,27 @@ def test_fill_segment_rejects_windows_past_int64():
             fill_segment(bad - 11 & ~1, bad, np.array([2, 3], dtype=np.int64))
 
 
+def test_fill_segment_base_table_check(monkeypatch):
+    import primelab.sieve as sieve
+
+    def bomb(n):
+        raise AssertionError("is_prime_64 called")
+
+    monkeypatch.setattr(sieve, "is_prime_64", bomb)
+    lo, hi = 10**6, 10**6 + 4000  # isqrt(hi - 1) = 1001, largest prime 997
+    want = [naive_is_prime(v) for v in range(lo + 1, hi, 2)]
+    full = np.array(naive_sieve(1001), dtype=np.int64)
+    for cache in ({}, {10**4: small_primes(10**4)}):
+        monkeypatch.setattr(sieve, "_small_prime_cache", cache)
+        # complete, ending below isqrt(hi - 1): accepted
+        assert fill_segment(lo, hi, full).tolist() == want
+        for drop in (1, 2, len(full) // 2, len(full) - 1):
+            with pytest.raises(ValueError, match="too small"):
+                fill_segment(lo, hi, np.delete(full, drop))
+        with pytest.raises(ValueError, match="too small"):
+            fill_segment(8, 16, full[:1])  # isqrt(15) = 3 is missing
+
+
 def test_odd_prime_flags_layout(prime_set_1e6):
     flags = odd_prime_flags(10**5)
     for i in (0, 1, 2, 3, 17, 49999):
