@@ -18,19 +18,16 @@ import sys
 import time
 
 from primelab.brun import brun_partial, brun_table_report, estimate_marks
+from primelab.cli import _emit, int_arg
 from primelab.config import Config, resolve
-
-
-def parse_int(text: str) -> int:
-    return int(float(text.replace("_", "")))
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--limit", type=parse_int, default=10**10)
+    ap.add_argument("--limit", type=int_arg, default=10**10)
     ap.add_argument("--checkpoint", default=None)
     ap.add_argument("--threads", type=int, default=None)
-    ap.add_argument("--stride", type=parse_int, default=1 << 30)
+    ap.add_argument("--stride", type=int_arg, default=1 << 30)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
@@ -48,21 +45,13 @@ def main() -> int:
     dt = time.time() - t0
 
     rep = brun_table_report(rows)
-    lines = ["limit,raw_sum,extrapolated_conditional,published_estimate,"
-             "published_error,published_by,vs_reference"]
-    for r in rep["rows"]:
-        lines.append(",".join("" if v is None else str(v) for v in r))
-    lines.append(f"# reference {rep['reference'].value} "
-                 f"({rep['reference'].citation})")
-    lines.append(f"# alternate {rep['alternate_reference'].value} "
-                 f"({rep['alternate_reference'].citation})")
-    lines.append(f"# extrapolation is {rep['extrapolation']}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    ref, alt = rep["reference"], rep["alternate_reference"]
+    notes = [(f"# reference {ref.value} ({ref.citation})",),
+             (f"# alternate {alt.value} ({alt.citation})",),
+             (f"# extrapolation is {rep['extrapolation']}",)]
+    _emit(args, table=("limit,raw_sum,extrapolated_conditional,"
+                       "published_estimate,published_error,published_by,"
+                       "vs_reference", [*rep["rows"], *notes]))
     print(f"# {dt:.1f}s, threads={cfg.threads}", file=sys.stderr)
     return 0
 

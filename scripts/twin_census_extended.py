@@ -16,17 +16,14 @@ import sys
 import time
 
 from primelab.census import count_pairs_2k
+from primelab.cli import _emit, int_arg
 from primelab.config import Config, resolve
 from primelab.refdata import PI2_BY_DECADE
 
 
-def parse_int(text: str) -> int:
-    return int(float(text.replace("_", "")))
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--limit", type=parse_int, default=10**9)
+    ap.add_argument("--limit", type=int_arg, default=10**9)
     ap.add_argument("--checkpoint", default=None,
                     help="JSONL checkpoint path (resume + progress)")
     ap.add_argument("--threads", type=int, default=None)
@@ -47,26 +44,20 @@ def main() -> int:
                            checkpoint_path=args.checkpoint)
     dt = time.time() - t0
 
-    lines = ["limit,count,published,match"]
+    rows, bad = [], False
     for limit, count in table.rows:
         ref = PI2_BY_DECADE.get(limit)
         if ref is None:
-            lines.append(f"{limit},{count},,")
-        else:
-            ok = "yes" if count == ref.value else "NO"
-            lines.append(f"{limit},{count},{ref.value},{ok}")
-            if count != ref.value:
-                print(f"MISMATCH at {limit}: computed {count}, "
-                      f"published {ref.value} ({ref.citation})",
-                      file=sys.stderr)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            rows.append((limit, count, None, None))
+            continue
+        ok = count == ref.value
+        rows.append((limit, count, ref.value, "yes" if ok else "NO"))
+        if not ok:
+            bad = True
+            print(f"MISMATCH at {limit}: computed {count}, "
+                  f"published {ref.value} ({ref.citation})", file=sys.stderr)
+    _emit(args, table=("limit,count,published,match", rows))
     print(f"# {dt:.1f}s, threads={cfg.threads}", file=sys.stderr)
-    bad = any(line.endswith("NO") for line in lines)
     return 1 if bad else 0
 
 

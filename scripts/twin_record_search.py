@@ -26,14 +26,11 @@ import time
 
 from primelab.census import twin_form_search
 from primelab.checkpoint import Checkpoint, write_checkpoint
+from primelab.cli import int_arg
 from primelab.errors import CheckpointError
 from primelab.refdata import RECORD_TWINS
 from primelab.scan import resume
 from primelab.sieve import prp_test
-
-
-def parse_int(text: str) -> int:
-    return int(float(text.replace("_", "")))
 
 
 def verify_records(max_digits: int) -> int:
@@ -58,10 +55,10 @@ def verify_records(max_digits: int) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--base", type=int, choices=(2, 10), default=2)
-    ap.add_argument("--exponent", type=parse_int, default=30)
-    ap.add_argument("--k-lo", type=parse_int, default=1)
-    ap.add_argument("--k-hi", type=parse_int, default=200_000)
-    ap.add_argument("--chunk", type=parse_int, default=1_000_000,
+    ap.add_argument("--exponent", type=int_arg, default=30)
+    ap.add_argument("--k-lo", type=int_arg, default=1)
+    ap.add_argument("--k-hi", type=int_arg, default=200_000)
+    ap.add_argument("--chunk", type=int_arg, default=1_000_000,
                     help="k per checkpointed chunk")
     ap.add_argument("--checkpoint", default=None)
     ap.add_argument("--verify-records", action="store_true")

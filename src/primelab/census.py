@@ -9,7 +9,6 @@ addition, so results are identical for any segment size or thread count.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import isqrt
 
@@ -104,12 +103,6 @@ class CountTable:
     @property
     def final_count(self) -> int:
         return self.rows[-1][1] if self.rows else 0
-
-    def to_csv(self) -> str:
-        return "\n".join(["limit,count"] + [f"{l},{c}" for l, c in self.rows]) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps({"tag": self.tag, "rows": [list(r) for r in self.rows]})
 
 
 def admissible(pattern) -> bool:

@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 a mathematical violation was found (a failed
 verification, a violated invariant), 2 usage or checkpoint errors, 3 an
 internal error (any other exception).
+
+Every result is written by `_emit`, the one place output is formatted.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import brun as brun_mod
@@ -17,28 +19,29 @@ from . import census, constants, gaps, goldbach, reports
 from .config import Config, from_file, resolve
 from .errors import CheckpointError, MathViolationError, ResourceLimitError
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "int_arg"]
 
 
-def _int_arg(text: str) -> int:
-    """Parse integers given plainly, with underscores, or as 1e8-style."""
+def int_arg(text: str) -> int:
+    """Parse integers given plainly, with underscores, or as 1e8-style.
+
+    The value is read exactly: 1.0000000000000001e16 is 10**16 + 1, and
+    1000000000.5 is rejected rather than rounded.
+    """
     s = text.replace("_", "").replace(",", "")
     try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        v = float(s)
-    except ValueError:
+        v = Decimal(s)
+    except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    iv = int(round(v))
-    if not math.isfinite(v) or abs(v - iv) > 1e-9 * max(1.0, abs(v)):
+    if not v.is_finite() or v != v.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return iv
+    if v.adjusted() >= 4300:  # Python's own limit for int(str)
+        raise argparse.ArgumentTypeError(f"over 4300 digits: {text!r}")
+    return int(v)
 
 
 def _int_list(text: str) -> list[int]:
-    vals = [_int_arg(t) for t in text.split(",") if t.strip()]
+    vals = [int_arg(t) for t in text.split(",") if t.strip()]
     if not vals:
         raise argparse.ArgumentTypeError("empty list")
     return vals
@@ -48,13 +51,39 @@ def _offsets_arg(text: str) -> tuple[int, ...]:
     return tuple(_int_list(text))
 
 
+class _NotResumable(argparse.Action):
+    """Claims --checkpoint on jobs without one, so it is not read as a
+    prefix of --checkpoints."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"this job is not resumable, so {option_string} "
+                     "is not accepted")
+
+
 def _cfg(args: argparse.Namespace) -> Config:
     base = from_file(args.config) if args.config else None
     return resolve(base, segment_bytes=args.segment_bytes,
                    threads=args.threads)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, doc=None, table=None) -> None:
+    """Write one result to stdout, or to --out.
+
+    `doc` is written as JSON under --format json, and whenever there is no
+    table; a str doc is written as is.  Otherwise `table` is written: a
+    (header, rows) pair as CSV, with None as an empty cell, or plain text.
+    Namespaces without a format (the scripts') get the table.
+    """
+    if table is None or getattr(args, "format", "csv") == "json":
+        text = doc if isinstance(doc, str) else json.dumps(doc, indent=2,
+                                                           default=str)
+    elif isinstance(table, str):
+        text = table
+    else:
+        header, rows = table
+        text = "\n".join([header] + [
+            ",".join(["" if v is None else str(v) for v in row])
+            for row in rows])
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
@@ -64,17 +93,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args: argparse.Namespace, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2, default=str))
-
-
-def _emit_table(args: argparse.Namespace, table) -> None:
-    if args.format == "json":
-        _emit(args, table.to_json())
-    else:
-        _emit(args, table.to_csv())
-
-
 # ---------------------------------------------------------------------------
 # sieve
 
@@ -82,29 +100,19 @@ def _cmd_sieve(args) -> int:
     cfg = _cfg(args)
     if args.action == "count":
         from .sieve import iter_segments
-        total = 0
-        for seg in iter_segments(args.limit, cfg):
-            total += seg.count()
-        if args.format == "json":
-            _emit_json(args, {"limit": args.limit, "count": total})
-        else:
-            _emit(args, f"limit,count\n{args.limit},{total}")
+        total = sum(seg.count() for seg in iter_segments(args.limit, cfg))
+        _emit(args, {"limit": args.limit, "count": total},
+              ("limit,count", [(args.limit, total)]))
     elif args.action == "primes":
         from .sieve import primes_array
-        ps = primes_array(args.limit, cfg)
-        if args.format == "json":
-            _emit_json(args, {"limit": args.limit,
-                              "primes": [int(p) for p in ps]})
-        else:
-            _emit(args, "\n".join(["p"] + [str(int(p)) for p in ps]))
+        ps = [int(p) for p in primes_array(args.limit, cfg)]
+        _emit(args, {"limit": args.limit, "primes": ps},
+              ("p", ((p,) for p in ps)))
     elif args.action == "factor":
         from .sieve import factorize_64
         f = factorize_64(args.n)
-        if args.format == "json":
-            _emit_json(args, {"n": args.n, "factors": f.as_dict()})
-        else:
-            _emit(args, "prime,exponent\n" +
-                  "\n".join(f"{p},{e}" for p, e in f.factors))
+        _emit(args, {"n": args.n, "factors": f.as_dict()},
+              ("prime,exponent", f.factors))
     else:  # isprime
         from .sieve import is_prime_64, prp_test
         n = args.n
@@ -112,11 +120,8 @@ def _cmd_sieve(args) -> int:
             verdict, how = is_prime_64(n), "deterministic"
         else:
             verdict, how = prp_test(n), "probable"
-        if args.format == "json":
-            _emit_json(args, {"n": n, "prime": bool(verdict), "method": how})
-        else:
-            _emit(args, f"n,prime,method\n{n},{verdict},{how}")
-        return 0
+        _emit(args, {"n": n, "prime": bool(verdict), "method": how},
+              ("n,prime,method", [(n, verdict, how)]))
     return 0
 
 
@@ -143,7 +148,10 @@ def _cmd_census(args) -> int:
     else:  # square1
         table = census.count_square_plus_one(args.limit, args.mode,
                                              args.checkpoints)
-    _emit_table(args, table)
+    # census JSON is one line
+    _emit(args, json.dumps({"tag": table.tag,
+                            "rows": [list(r) for r in table.rows]}),
+          ("limit,count", table.rows))
     return 0
 
 
@@ -155,104 +163,71 @@ def _cmd_gaps(args) -> int:
     act = args.action
     if act == "scan":
         scan = gaps.scan_gaps(args.limit, cfg=cfg)
-        if args.format == "json":
-            _emit_json(args, {
-                "first_occurrences": {str(g): p for g, p
-                                      in sorted(scan.first_occurrences.items())},
-                "maximal": [[r.p, r.gap] for r in scan.maximal],
-            })
-        elif args.kind == "firsts":
-            _emit(args, gaps.first_occurrences_csv(scan.first_occurrences))
-        else:
-            _emit(args, gaps.records_csv(scan.maximal))
+        firsts = sorted(scan.first_occurrences.items())
+        # the JSON document carries both kinds
+        _emit(args, {"first_occurrences": {str(g): p for g, p in firsts},
+                     "maximal": [[r.p, r.gap] for r in scan.maximal]},
+              ("gap,first_p", firsts) if args.kind == "firsts" else
+              ("p,gap", [(r.p, r.gap) for r in scan.maximal]))
     elif act == "first":
         rec = gaps.first_occurrence(args.gap, args.limit, cfg=cfg)
-        if args.format == "json":
-            _emit_json(args, {"gap": args.gap, "limit": args.limit,
-                              "first_p": rec.p if rec else None})
-        else:
-            _emit(args, f"gap,first_p\n{args.gap},{rec.p if rec else ''}")
+        p = rec.p if rec else None
+        _emit(args, {"gap": args.gap, "limit": args.limit, "first_p": p},
+              ("gap,first_p", [(args.gap, p)]))
     elif act == "missing":
         miss = gaps.missing_gaps(args.limit, args.max_gap, cfg=cfg)
-        if args.format == "json":
-            _emit_json(args, {"limit": args.limit, "missing": miss})
-        else:
-            _emit(args, "\n".join(["gap"] + [str(g) for g in miss]))
+        _emit(args, {"limit": args.limit, "missing": miss},
+              ("gap", ((g,) for g in miss)))
     elif act == "extremes":
         ex = gaps.normalized_gap_extremes(args.limit, cfg=cfg)
-        if args.format == "json":
-            _emit_json(args, ex._asdict())
-        else:
-            _emit(args, "which,value,p,gap\n"
-                  f"min,{ex.min_value},{ex.min_witness[0]},{ex.min_witness[1]}\n"
-                  f"max,{ex.max_value},{ex.max_witness[0]},{ex.max_witness[1]}")
+        _emit(args, ex._asdict(), ("which,value,p,gap", [
+            ("min", ex.min_value, *ex.min_witness),
+            ("max", ex.max_value, *ex.max_witness)]))
     elif act == "interval":
         res = gaps.interval_prime_count(args.x, args.theta)
-        if args.format == "json":
-            _emit_json(args, res._asdict())
-        else:
-            _emit(args, "count,expected,ratio\n"
-                  f"{res.count},{res.expected},{res.ratio}")
+        _emit(args, res._asdict(), ("count,expected,ratio", [res]))
     elif act == "between-squares":
         out = gaps.primes_between_squares(args.n)
-        if args.format == "json":
-            _emit_json(args, {"n": args.n, "exceptions": out})
-        else:
-            _emit(args, "\n".join(["n_without_prime"] + [str(v) for v in out]))
+        _emit(args, {"n": args.n, "exceptions": out},
+              ("n_without_prime", ((v,) for v in out)))
     elif act == "short-interval":
         frac = gaps.short_interval_above_square(args.n, args.exponent)
-        if args.format == "json":
-            _emit_json(args, {"n": args.n, "exponent": args.exponent,
-                              "hit_fraction": frac})
-        else:
-            _emit(args, f"n,exponent,hit_fraction\n"
-                        f"{args.n},{args.exponent},{frac}")
+        _emit(args, {"n": args.n, "exponent": args.exponent,
+                     "hit_fraction": frac},
+              ("n,exponent,hit_fraction", [(args.n, args.exponent, frac)]))
     else:  # hunt
         rec = gaps.hunt_gap(args.gap, args.stop, start=args.start, cfg=cfg,
                             checkpoint_path=args.checkpoint,
                             checkpoint_stride=args.stride)
-        if args.format == "json":
-            _emit_json(args, {"gap": args.gap, "stop": args.stop,
-                              "found_p": rec.p if rec else None})
-        else:
-            _emit(args, f"gap,first_p\n{args.gap},{rec.p if rec else ''}")
+        p = rec.p if rec else None
+        _emit(args, {"gap": args.gap, "stop": args.stop, "found_p": p},
+              ("gap,first_p", [(args.gap, p)]))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # constants
 
-def _hpv_out(args, hpv) -> None:
-    if args.format == "json":
-        _emit_json(args, {
-            "value": hpv.decimal_str(),
-            "abs_error_bound": str(hpv.abs_error_bound),
-            "digits": hpv.digits_requested,
-            "method": hpv.method,
-        })
-    else:
-        _emit(args, hpv.decimal_str())
-
-
 def _cmd_constants(args) -> int:
     which = args.which
-    if which == "twin":
-        _hpv_out(args, constants.twin_constant(args.digits))
-    elif which == "pattern":
-        _hpv_out(args, constants.pattern_constant(args.offsets, args.digits))
-    elif which == "quad":
-        _hpv_out(args, constants.quad_constant(args.digits))
-    elif which == "zeta":
-        _hpv_out(args, constants.zeta(args.s, args.digits))
-    elif which == "prime-zeta":
-        _hpv_out(args, constants.prime_zeta(args.s, args.digits,
-                                            args.character))
+    if which in ("twin", "pattern", "quad", "zeta", "prime-zeta"):
+        if which == "twin":
+            hpv = constants.twin_constant(args.digits)
+        elif which == "pattern":
+            hpv = constants.pattern_constant(args.offsets, args.digits)
+        elif which == "quad":
+            hpv = constants.quad_constant(args.digits)
+        elif which == "zeta":
+            hpv = constants.zeta(args.s, args.digits)
+        else:
+            hpv = constants.prime_zeta(args.s, args.digits, args.character)
+        _emit(args, {"value": hpv.decimal_str(),
+                     "abs_error_bound": str(hpv.abs_error_bound),
+                     "digits": hpv.digits_requested,
+                     "method": hpv.method}, hpv.decimal_str())
     elif which == "li2":
         v = constants.li2(args.x, args.rel_tol)
-        if args.format == "json":
-            _emit_json(args, {"x": args.x, "li2": v})
-        else:
-            _emit(args, repr(v))
+        _emit(args, {"x": args.x, "li2": v}, repr(v))
     elif which == "predict":
         params = {}
         if args.k is not None:
@@ -260,25 +235,18 @@ def _cmd_constants(args) -> int:
         if args.offsets is not None:
             params["pattern"] = args.offsets
         pred = constants.predict(args.quantity, args.x, params)
-        if args.format == "json":
-            _emit_json(args, {"quantity": pred.quantity, "x": pred.x,
-                              "value": pred.value, "params": pred.params})
-        else:
-            _emit(args, f"quantity,x,value\n{pred.quantity},{pred.x},"
-                        f"{pred.value!r}")
+        _emit(args, {"quantity": pred.quantity, "x": pred.x,
+                     "value": pred.value, "params": pred.params},
+              ("quantity,x,value", [(pred.quantity, pred.x, pred.value)]))
     elif which == "bounds":
         rep = constants.historical_bounds(args.x)
-        if args.format == "json":
-            _emit_json(args, {"x": rep.x, "values": rep.values,
-                              "multipliers": rep.multipliers})
-        else:
-            rows = ["name,value"]
-            rows += [f"{k},{v!r}" for k, v in rep.values.items()]
-            rows += [f"multiplier_{y}_{n.replace(' ', '_').replace(',', '')},{v!r}"
-                     for y, _c, n, v in rep.multipliers]
-            _emit(args, "\n".join(rows))
+        rows = [*rep.values.items()] + [
+            (f"multiplier_{y}_{n.replace(' ', '_').replace(',', '')}", v)
+            for y, _c, n, v in rep.multipliers]
+        _emit(args, {"x": rep.x, "values": rep.values,
+                     "multipliers": rep.multipliers}, ("name,value", rows))
     else:  # report
-        _emit_json(args, constants.json_report(args.digits, args.quad_digits))
+        _emit(args, constants.json_report(args.digits, args.quad_digits))
     return 0
 
 
@@ -287,48 +255,33 @@ def _cmd_constants(args) -> int:
 
 def _cmd_brun(args) -> int:
     cfg = _cfg(args)
-    if args.action == "partial":
-        rows = brun_mod.brun_partial(args.limit, args.checkpoints, cfg=cfg,
-                                     checkpoint_path=args.checkpoint,
-                                     checkpoint_stride=args.stride)
-        if args.format == "json":
-            _emit_json(args, [{"limit": r.limit,
-                               "sum": brun_mod.format_longdouble(r.sum),
-                               "pair_count": r.pair_count} for r in rows])
-        else:
-            _emit(args, "\n".join(
-                ["limit,sum,pair_count"]
-                + [f"{r.limit},{brun_mod.format_longdouble(r.sum)},"
-                   f"{r.pair_count}" for r in rows]))
-    elif args.action == "table":
-        marks = args.checkpoints
-        if marks is None:
-            marks = sorted(set(brun_mod.estimate_marks(args.limit))
-                           | {args.limit})
-        rows = brun_mod.brun_partial(args.limit, marks, cfg=cfg,
-                                     checkpoint_path=args.checkpoint,
-                                     checkpoint_stride=args.stride)
-        rep = brun_mod.brun_table_report(rows)
-        if args.format == "json":
-            _emit_json(args, {
-                "rows": [r._asdict() for r in rep["rows"]],
-                "reference": rep["reference"].value,
-                "reference_citation": rep["reference"].citation,
-                "alternate_reference": rep["alternate_reference"].value,
-                "extrapolation": rep["extrapolation"],
-            })
-        else:
-            lines = ["limit,raw_sum,extrapolated_conditional,"
-                     "published_estimate,published_error,published_by,"
-                     "vs_reference"]
-            for r in rep["rows"]:
-                lines.append(",".join("" if v is None else str(v)
-                                      for v in r))
-            _emit(args, "\n".join(lines))
-    else:  # extrapolate
+    if args.action == "extrapolate":  # text only
         v = brun_mod.brun_extrapolate(brun_mod.parse_longdouble(args.sum),
                                       args.limit)
         _emit(args, brun_mod.format_longdouble(v))
+        return 0
+    marks = args.checkpoints
+    if args.action == "table" and marks is None:
+        marks = sorted(set(brun_mod.estimate_marks(args.limit))
+                       | {args.limit})
+    rows = brun_mod.brun_partial(args.limit, marks, cfg=cfg,
+                                 checkpoint_path=args.checkpoint,
+                                 checkpoint_stride=args.stride)
+    if args.action == "partial":
+        cells = [(r.limit, brun_mod.format_longdouble(r.sum), r.pair_count)
+                 for r in rows]
+        _emit(args, [{"limit": l, "sum": s, "pair_count": c}
+                     for l, s, c in cells], ("limit,sum,pair_count", cells))
+    else:  # table
+        rep = brun_mod.brun_table_report(rows)
+        _emit(args, {
+            "rows": [r._asdict() for r in rep["rows"]],
+            "reference": rep["reference"].value,
+            "reference_citation": rep["reference"].citation,
+            "alternate_reference": rep["alternate_reference"].value,
+            "extrapolation": rep["extrapolation"],
+        }, ("limit,raw_sum,extrapolated_conditional,published_estimate,"
+            "published_error,published_by,vs_reference", rep["rows"]))
     return 0
 
 
@@ -337,60 +290,43 @@ def _cmd_brun(args) -> int:
 
 def _cmd_goldbach(args) -> int:
     act = args.action
+    status = 0
     if act == "verify":
         bad = goldbach.verify_goldbach(args.lo, args.hi)
-        if args.format == "json":
-            _emit_json(args, {"from": args.lo, "to": args.hi,
-                              "violation": bad})
-        else:
-            _emit(args, f"from,to,violation\n{args.lo},{args.hi},"
-                        f"{'' if bad is None else bad}")
-        return 0 if bad is None else 1
-    if act == "count":
+        _emit(args, {"from": args.lo, "to": args.hi, "violation": bad},
+              ("from,to,violation", [(args.lo, args.hi, bad)]))
+        status = bad is not None
+    elif act == "count":
         c = goldbach.count_representations(args.n, args.convention,
                                            args.allow_one)
-        if args.format == "json":
-            _emit_json(args, {"n": args.n, "convention": args.convention,
-                              "allow_one": args.allow_one, "count": c})
-        else:
-            _emit(args, f"n,convention,count\n{args.n},{args.convention},{c}")
-        return 0
-    if act == "report":
-        _emit_json(args, goldbach.representation_report(args.n))
-        return 0
-    if act == "euler":
+        _emit(args, {"n": args.n, "convention": args.convention,
+                     "allow_one": args.allow_one, "count": c},
+              ("n,convention,count", [(args.n, args.convention, c)]))
+    elif act == "report":
+        _emit(args, goldbach.representation_report(args.n))
+    elif act == "euler":
         bad = goldbach.euler_variant_check(args.limit)
-        if args.format == "json":
-            _emit_json(args, {"limit": args.limit, "violations": bad})
-        else:
-            _emit(args, "\n".join(["violation"] + [str(v) for v in bad]))
-        return 0 if not bad else 1
-    if act == "three":
+        _emit(args, {"limit": args.limit, "violations": bad},
+              ("violation", ((v,) for v in bad)))
+        status = bool(bad)
+    elif act == "three":
         t = goldbach.three_primes(args.n)
-        if args.format == "json":
-            _emit_json(args, {"n": args.n, "parts": list(t)})
-        else:
-            _emit(args, f"p1,p2,p3\n{t[0]},{t[1]},{t[2]}")
-        return 0
-    if act == "exceptional":
+        _emit(args, {"n": args.n, "parts": list(t)}, ("p1,p2,p3", [t]))
+    elif act == "exceptional":
         res = goldbach.exceptional_count(args.x)
-        if args.format == "json":
-            _emit_json(args, res._asdict())
-        else:
-            _emit(args, f"count,ratio\n{res.count},{res.ratio}")
-        return 0 if res.count == 0 else 1
-    # chen
-    _emit_json(args, goldbach.chen_comparison(args.x, args.sample_n))
-    return 0
+        _emit(args, res._asdict(), ("count,ratio", [res]))
+        status = res.count != 0
+    else:  # chen
+        _emit(args, goldbach.chen_comparison(args.x, args.sample_n))
+    return int(status)
 
 
 # ---------------------------------------------------------------------------
 # report
 
 def _cmd_report(args) -> int:
-    cfg = _cfg(args)
-    doc = reports.build_comparison_document(args.limit, cfg=cfg)
-    _emit(args, doc)
+    # text only; the document already ends in a newline
+    _emit(args, reports.build_comparison_document(args.limit, cfg=_cfg(args)))
     return 0
 
 
@@ -401,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
                         help="worker threads (beats PRIMELAB_THREADS)")
-    common.add_argument("--segment-bytes", type=_int_arg, default=None)
+    common.add_argument("--segment-bytes", type=int_arg, default=None)
     common.add_argument("--config", default=None,
                         help="JSON config file path")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -410,6 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     resumable = argparse.ArgumentParser(add_help=False)
     resumable.add_argument("--checkpoint", default=None,
                            help="resumable checkpoint file path")
+    fixed = argparse.ArgumentParser(add_help=False)
+    fixed.add_argument("--checkpoint", action=_NotResumable,
+                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     p = argparse.ArgumentParser(prog="primelab",
                                 description="prime constellation toolkit")
@@ -418,33 +357,33 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sieve", parents=[common], help="basic prime tooling")
     ss = ps.add_subparsers(dest="action", required=True)
     c = ss.add_parser("count", parents=[common])
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--limit", type=int_arg, required=True)
     c = ss.add_parser("primes", parents=[common])
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--limit", type=int_arg, required=True)
     c = ss.add_parser("factor", parents=[common])
-    c.add_argument("--n", type=_int_arg, required=True)
+    c.add_argument("--n", type=int_arg, required=True)
     c = ss.add_parser("isprime", parents=[common])
-    c.add_argument("--n", type=_int_arg, required=True)
+    c.add_argument("--n", type=int_arg, required=True)
     ps.set_defaults(func=_cmd_sieve)
 
     pc = sub.add_parser("census", parents=[common],
                         help="constellation counting")
     sc = pc.add_subparsers(dest="shape", required=True)
     c = sc.add_parser("pairs", parents=[common, resumable])
-    c.add_argument("--gap", type=_int_arg, default=2)
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--gap", type=int_arg, default=2)
+    c.add_argument("--limit", type=int_arg, required=True)
     c.add_argument("--checkpoints", type=_int_list, default=None)
-    c.add_argument("--stride", type=_int_arg, default=1 << 28)
+    c.add_argument("--stride", type=int_arg, default=1 << 28)
     c = sc.add_parser("pattern", parents=[common, resumable])
     c.add_argument("--offsets", type=_offsets_arg, required=True)
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--limit", type=int_arg, required=True)
     c.add_argument("--checkpoints", type=_int_list, default=None)
-    c.add_argument("--stride", type=_int_arg, default=1 << 28)
-    c = sc.add_parser("twin-almost", parents=[common])
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--stride", type=int_arg, default=1 << 28)
+    c = sc.add_parser("twin-almost", parents=[common, fixed])
+    c.add_argument("--limit", type=int_arg, required=True)
     c.add_argument("--checkpoints", type=_int_list, default=None)
-    c = sc.add_parser("square1", parents=[common])
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c = sc.add_parser("square1", parents=[common, fixed])
+    c.add_argument("--limit", type=int_arg, required=True)
     c.add_argument("--mode", choices=("prime", "omega_le_2", "bigomega_le_2"),
                    default="prime")
     c.add_argument("--checkpoints", type=_int_list, default=None)
@@ -453,29 +392,29 @@ def build_parser() -> argparse.ArgumentParser:
     pg = sub.add_parser("gaps", parents=[common], help="prime gap statistics")
     sg = pg.add_subparsers(dest="action", required=True)
     c = sg.add_parser("scan", parents=[common])
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--limit", type=int_arg, required=True)
     c.add_argument("--kind", choices=("firsts", "records"), default="firsts")
     c = sg.add_parser("first", parents=[common])
-    c.add_argument("--gap", type=_int_arg, required=True)
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--gap", type=int_arg, required=True)
+    c.add_argument("--limit", type=int_arg, required=True)
     c = sg.add_parser("missing", parents=[common])
-    c.add_argument("--limit", type=_int_arg, required=True)
-    c.add_argument("--max-gap", type=_int_arg, required=True)
+    c.add_argument("--limit", type=int_arg, required=True)
+    c.add_argument("--max-gap", type=int_arg, required=True)
     c = sg.add_parser("extremes", parents=[common])
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--limit", type=int_arg, required=True)
     c = sg.add_parser("interval", parents=[common])
-    c.add_argument("--x", type=_int_arg, required=True)
+    c.add_argument("--x", type=int_arg, required=True)
     c.add_argument("--theta", type=Fraction, required=True)
     c = sg.add_parser("between-squares", parents=[common])
-    c.add_argument("--n", type=_int_arg, required=True)
+    c.add_argument("--n", type=int_arg, required=True)
     c = sg.add_parser("short-interval", parents=[common])
-    c.add_argument("--n", type=_int_arg, required=True)
+    c.add_argument("--n", type=int_arg, required=True)
     c.add_argument("--exponent", type=float, default=1.5)
     c = sg.add_parser("hunt", parents=[common, resumable])
-    c.add_argument("--gap", type=_int_arg, required=True)
-    c.add_argument("--stop", type=_int_arg, required=True)
-    c.add_argument("--start", type=_int_arg, default=2)
-    c.add_argument("--stride", type=_int_arg, default=1 << 30)
+    c.add_argument("--gap", type=int_arg, required=True)
+    c.add_argument("--stop", type=int_arg, required=True)
+    c.add_argument("--start", type=int_arg, default=2)
+    c.add_argument("--stride", type=int_arg, default=1 << 30)
     pg.set_defaults(func=_cmd_gaps)
 
     pk = sub.add_parser("constants", parents=[common],
@@ -502,11 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     c = sk.add_parser("predict", parents=[common])
     c.add_argument("--quantity", required=True,
                    choices=("pi2k", "l2", "pattern", "goldbach_r", "qn"))
-    c.add_argument("--x", type=_int_arg, required=True)
+    c.add_argument("--x", type=int_arg, required=True)
     c.add_argument("--k", type=int, default=None)
     c.add_argument("--offsets", type=_offsets_arg, default=None)
     c = sk.add_parser("bounds", parents=[common])
-    c.add_argument("--x", type=_int_arg, required=True)
+    c.add_argument("--x", type=int_arg, required=True)
     c = sk.add_parser("report", parents=[common])
     c.add_argument("--digits", type=int, default=10)
     c.add_argument("--quad-digits", type=int, default=10)
@@ -516,47 +455,47 @@ def build_parser() -> argparse.ArgumentParser:
                         help="twin reciprocal sums")
     sb = pb.add_subparsers(dest="action", required=True)
     c = sb.add_parser("partial", parents=[common, resumable])
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--limit", type=int_arg, required=True)
     c.add_argument("--checkpoints", type=_int_list, default=None)
-    c.add_argument("--stride", type=_int_arg, default=1 << 28)
+    c.add_argument("--stride", type=int_arg, default=1 << 28)
     c = sb.add_parser("table", parents=[common, resumable])
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--limit", type=int_arg, required=True)
     c.add_argument("--checkpoints", type=_int_list, default=None)
-    c.add_argument("--stride", type=_int_arg, default=1 << 28)
+    c.add_argument("--stride", type=int_arg, default=1 << 28)
     c = sb.add_parser("extrapolate", parents=[common])
     c.add_argument("--sum", required=True)
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--limit", type=int_arg, required=True)
     pb.set_defaults(func=_cmd_brun)
 
     pgb = sub.add_parser("goldbach", parents=[common],
                          help="two-prime decompositions")
     sgb = pgb.add_subparsers(dest="action", required=True)
     c = sgb.add_parser("verify", parents=[common])
-    c.add_argument("--from", dest="lo", type=_int_arg, required=True)
-    c.add_argument("--to", dest="hi", type=_int_arg, required=True)
+    c.add_argument("--from", dest="lo", type=int_arg, required=True)
+    c.add_argument("--to", dest="hi", type=int_arg, required=True)
     c = sgb.add_parser("count", parents=[common])
-    c.add_argument("--n", type=_int_arg, required=True)
+    c.add_argument("--n", type=int_arg, required=True)
     c.add_argument("--convention", choices=("unordered", "ordered"),
                    default="unordered")
     c.add_argument("--allow-one", action="store_true")
     c = sgb.add_parser("report", parents=[common])
-    c.add_argument("--n", type=_int_arg, required=True)
+    c.add_argument("--n", type=int_arg, required=True)
     c = sgb.add_parser("euler", parents=[common])
-    c.add_argument("--limit", type=_int_arg, required=True)
+    c.add_argument("--limit", type=int_arg, required=True)
     c = sgb.add_parser("three", parents=[common])
-    c.add_argument("--n", type=_int_arg, required=True)
+    c.add_argument("--n", type=int_arg, required=True)
     c = sgb.add_parser("exceptional", parents=[common])
-    c.add_argument("--x", type=_int_arg, required=True)
+    c.add_argument("--x", type=int_arg, required=True)
     c = sgb.add_parser("chen", parents=[common])
-    c.add_argument("--x", type=_int_arg, required=True)
-    c.add_argument("--sample-n", type=_int_arg, default=None)
+    c.add_argument("--x", type=int_arg, required=True)
+    c.add_argument("--sample-n", type=int_arg, default=None)
     pgb.set_defaults(func=_cmd_goldbach)
 
     pr = sub.add_parser("report", parents=[common],
                         help="comparison documents")
     sr = pr.add_subparsers(dest="action", required=True)
     c = sr.add_parser("paper-tables", parents=[common])
-    c.add_argument("--limit", type=_int_arg, default=10**8)
+    c.add_argument("--limit", type=int_arg, default=10**8)
     pr.set_defaults(func=_cmd_report)
 
     return p

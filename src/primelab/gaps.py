@@ -32,8 +32,6 @@ __all__ = [
     "short_interval_above_square",
     "normalized_gap_extremes",
     "hunt_gap",
-    "first_occurrences_csv",
-    "records_csv",
 ]
 
 _KINDS = ("first_occurrence", "maximal")
@@ -322,13 +320,3 @@ def hunt_gap(gap: int, stop: int, *, start: int = 2,
                  cfg, checkpoint_path, checkpoint_stride)
     return (None if state.hit is None
             else GapRecord(state.hit, gap, "first_occurrence"))
-
-
-def first_occurrences_csv(firsts: dict[int, int]) -> str:
-    lines = ["gap,first_p"] + [f"{g},{firsts[g]}" for g in sorted(firsts)]
-    return "\n".join(lines) + "\n"
-
-
-def records_csv(records) -> str:
-    lines = ["p,gap"] + [f"{r.p},{r.gap}" for r in records]
-    return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from primelab.cli import main
+from primelab.cli import int_arg, main
 from primelab.config import Config, from_file, resolve
 
 
@@ -116,6 +117,22 @@ def test_checkpoint_only_where_honoured(tmp_path, capsys):
     assert main(["census", "pairs", "--limit", "1e4",
                  "--checkpoint", str(path)]) == 0
     assert path.exists()
+    # a numeric --checkpoint is not read as a prefix of --checkpoints
+    for argv in (["census", "square1", "--limit", "1e8",
+                  "--checkpoint", "1e6"],
+                 ["census", "twin-almost", "--limit", "1e5",
+                  "--checkpoint=1e4"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "not resumable" in out.err
+    # other abbreviations still work
+    assert run(capsys, "census", "square1", "--lim", "1e8",
+               "--checkpoints", "1e6") == (0, "limit,count\n1000000,112\n")
+    assert run(capsys, "census", "twin-almost", "--lim", "1e4",
+               "--checkpoints", "1e3") == (0, "limit,count\n1000,114\n")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -131,6 +148,18 @@ def test_int_arg_forms(capsys):
     for text in ("100000", "1e5", "100_000"):
         code, out = run(capsys, "sieve", "count", "--limit", text)
         assert out.splitlines()[-1] == "100000,9592"
+
+
+def test_int_arg_reads_exactly(capsys):
+    assert int_arg("10000000000000001") == 10**16 + 1
+    assert int_arg("1.0000000000000001e16") == 10**16 + 1
+    assert int_arg("1e100") == 10**100
+    for text in ("1.5", "1000000000.5", "inf", "nan", "1e4300"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            int_arg(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["sieve", "count", "--limit", "inf"])
+    assert exc.value.code == 2
 
 
 def test_threads_flag_beats_env(monkeypatch, tmp_path):

@@ -8,13 +8,11 @@ from primelab.config import Config
 from primelab.gaps import (
     _count_primes_interval,
     first_occurrence,
-    first_occurrences_csv,
     hunt_gap,
     interval_prime_count,
     missing_gaps,
     normalized_gap_extremes,
     primes_between_squares,
-    records_csv,
     scan_gaps,
     short_interval_above_square,
 )
@@ -170,10 +168,3 @@ def test_hunt_gap_resume(tmp_path, walk_1e5):
     rec2 = hunt_gap(52, 10**5, checkpoint_path=path,
                     checkpoint_stride=1 << 12)  # resume of a finished task
     assert rec1.p == rec2.p == firsts[52]
-
-
-def test_csv_helpers():
-    assert first_occurrences_csv({2: 3, 4: 7}) == "gap,first_p\n2,3\n4,7\n"
-    scan = scan_gaps(100)
-    text = records_csv(scan.maximal)
-    assert text.startswith("p,gap\n")
