@@ -140,8 +140,8 @@ def brun_partial(limit: int, checkpoints: Sequence[int] | None = None, *,
 
 @lru_cache(maxsize=None)
 def _alpha_longdouble() -> np.longdouble:
-    from .constants import twin_constant
-    return _LD(twin_constant(25).decimal_str())
+    from .constants import _alpha25
+    return _LD(_alpha25().decimal_str())
 
 
 def brun_extrapolate(sum_value, limit: int) -> np.longdouble:

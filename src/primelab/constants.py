@@ -1,15 +1,27 @@
 """High-precision constellation constants, li2, and prediction formulas.
 
-Evaluation strategy for the infinite products: take the product over
-primes p <= P0 exactly (as a sum of logs), then expand the log of each
-remaining factor in powers of 1/p and regroup, so the tail becomes a
-short series in prime zeta values P(m) with m >= 2.  Those are computed
-by Moebius inversion of log zeta; zeta itself (and the Hurwitz form
+Evaluation strategy for the infinite products (Wrench 1961, Cohen 1998):
+the product over primes p <= P0 is one exact ratio of Python ints, and a
+single log of it is the head.  The log of each remaining factor is
+expanded in powers of 1/p and regrouped, so the tail becomes a short
+series in prime-power sums past P0, each the prime zeta value P(m) minus
+its head sum over p <= P0.  Those head sums (plain, odd-only and
+chi4-twisted) are fixed-point integers computed once per (P0, precision)
+and shared by every pattern and by the m**2 + 1 constant.  P(m) comes
+from Moebius inversion of log zeta; zeta itself (and the Hurwitz form
 needed for the mod-4 character) is evaluated with a self-contained
-Euler-Maclaurin routine whose remainder is bounded by the first omitted
-correction term.  Working precision carries 10 guard digits past the
-request; error bounds are conservative worst-case estimates, not
-interval arithmetic.
+Euler-Maclaurin routine whose N-term head is again a fixed-point integer
+sum and whose remainder is bounded by the first omitted correction term.
+
+Working precision carries 10 guard digits past the request; error bounds
+are conservative worst-case estimates, not interval arithmetic.  When the
+tail coefficients of a pattern magnify the prime zeta remainders past the
+request, a second pass tightens those remainders (see _series_hpv).
+
+Supported digits: pattern_constant and twin_constant in [1, 50],
+quad_constant in [1, 15], zeta and prime_zeta in [1, 100]; anything
+outside raises ValueError, as does a P0 below 100 (at P0 = 3 the tail
+coefficients outgrow the working precision and the value is wrong).
 """
 from __future__ import annotations
 
@@ -107,23 +119,90 @@ def bernoulli_fraction(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Fixed-point sums.
+#
+# A finite sum of rational terms is taken in W-bit fixed point, W = mp.prec
+# + 40: each term becomes floor(2**W * term), so a sum of N terms is low by
+# less than N * 2**-W, about 2**-30 of the working precision's own rounding
+# for the 1229 primes below the default P0.  A tail coefficient |c_m| (below
+# 2**32 at P0 = 10**4) multiplies that error, which still leaves it under
+# 2**-11 of the 10**-(dps - 3) roundoff cushion every bound below carries,
+# so no bound formula has a term of its own for it.  (Smaller P0 means
+# larger coefficients; the second pass of _series_hpv adds their digits to
+# the working precision.)
+
+def _fixed_width() -> int:
+    return mp.prec + 40
+
+
+def _from_fixed(x: int, w: int):
+    return mp.ldexp(mp.mpf(x), -w)
+
+
+class _HeadPowerSums:
+    """Sums of p**-m over the primes p <= P0, as W-bit fixed-point ints.
+
+    For each m >= 1: plain[m] over all primes, odd[m] over the odd primes
+    and chi[m] over the odd primes weighted by chi4(p).  The terms for m
+    come from those for m - 1 by one integer division per prime, exactly,
+    since floor(floor(a / b) / c) = floor(a / (b c)).
+    """
+
+    def __init__(self, p0: int, w: int):
+        primes = [int(p) for p in small_primes(p0)]
+        self.w = w
+        self._ones = [p for p in primes if p % 4 == 1]
+        self._threes = [p for p in primes if p % 4 == 3]
+        self._t1 = [1 << w] * len(self._ones)
+        self._t3 = [1 << w] * len(self._threes)
+        self._t2 = (1 << w) if primes else 0
+        self.plain, self.odd, self.chi = [0], [0], [0]  # index 0 unused
+
+    def upto(self, m_top: int) -> "_HeadPowerSums":
+        while len(self.odd) <= m_top:
+            self._t1 = [t // p for t, p in zip(self._t1, self._ones)]
+            self._t3 = [t // p for t, p in zip(self._t3, self._threes)]
+            self._t2 >>= 1
+            s1, s3 = sum(self._t1), sum(self._t3)
+            self.odd.append(s1 + s3)
+            self.plain.append(s1 + s3 + self._t2)
+            self.chi.append(s1 - s3)
+        return self
+
+
+_power_sums_cache: dict = {}
+
+
+def _head_power_sums(p0: int, m_top: int) -> _HeadPowerSums:
+    """The shared head sums for (P0, working precision), through m_top."""
+    w = _fixed_width()
+    sums = _power_sums_cache.get((p0, w))
+    if sums is None:
+        sums = _power_sums_cache[(p0, w)] = _HeadPowerSums(p0, w)
+    return sums.upto(m_top)
+
+
+# ---------------------------------------------------------------------------
 # Euler-Maclaurin Hurwitz zeta with a remainder bound.
 
 _em_cache: dict = {}
 
 
-def _em_hurwitz(s, a, eps):
-    """zeta(s, a) for real s > 1, 0 < a <= 1: returns (value, error_bound)."""
-    key = (str(s), str(a), mp.dps)
+def _em_hurwitz(s: int, a: Fraction, eps):
+    """zeta(s, a) for integer s > 1, rational 0 < a <= 1: (value, bound)."""
+    key = (s, a, mp.dps, eps)
     hit = _em_cache.get(key)
-    if hit is not None and hit[1] <= eps:
+    if hit is not None:
         return hit
+    r, q = a.numerator, a.denominator
+    w = _fixed_width()
+    top, s_int = q**s << w, s  # (a + n)**-s = q**s / (r + q n)**s
     s = mp.mpf(s)
-    a = mp.mpf(a)
+    a = mp.mpf(r) / q
     N = max(16, int(mp.dps * 1.2))
     for _ in range(14):
         M = N + a
-        head = mp.fsum(mp.power(a + n, -s) for n in range(N))
+        head = _from_fixed(sum(top // (r + q * n) ** s_int for n in range(N)), w)
         value = head + mp.power(M, 1 - s) / (s - 1) + mp.power(M, -s) / 2
         rising = s  # (s)_1, extended two factors per correction step
         pw = mp.power(M, -s - 1)
@@ -148,18 +227,18 @@ def _em_hurwitz(s, a, eps):
             j += 1
         if remainder is not None:
             out = (value + corr, remainder)
-            _em_cache[key] = (out[0], out[1])
+            _em_cache[key] = out
             return out
         N *= 2
     raise MathViolationError("Euler-Maclaurin summation failed to settle")
 
 
-def _beta_chi4(s, eps):
-    """Dirichlet beta (mod-4 L-value) for real s >= 1."""
+def _beta_chi4(s: int, eps):
+    """Dirichlet beta (mod-4 L-value) for integer s >= 1."""
     if s == 1:
         return mp.pi / 4, mp.mpf(10) ** (-(mp.dps - 2))
-    z1, b1 = _em_hurwitz(s, mp.mpf(1) / 4, eps)
-    z3, b3 = _em_hurwitz(s, mp.mpf(3) / 4, eps)
+    z1, b1 = _em_hurwitz(s, Fraction(1, 4), eps)
+    z3, b3 = _em_hurwitz(s, Fraction(3, 4), eps)
     scale = mp.power(4, -s)
     return scale * (z1 - z3), scale * (b1 + b3)
 
@@ -189,7 +268,7 @@ _pz_cache: dict = {}
 
 def _prime_zeta_mpf(s: int, eps):
     """P(s) = sum over primes of p**-s, s >= 2: returns (value, bound)."""
-    key = ("P", s, mp.dps)
+    key = ("P", s, mp.dps, eps)
     hit = _pz_cache.get(key)
     if hit is not None:
         return hit
@@ -201,7 +280,7 @@ def _prime_zeta_mpf(s: int, eps):
     for n in range(1, nmax + 1):
         if mu[n] == 0:
             continue
-        z, zb = _em_hurwitz(n * s, 1, eps)
+        z, zb = _em_hurwitz(n * s, Fraction(1), eps)
         total += mp.mpf(mu[n]) / n * mp.log(z)
         bound += 2 * zb
     bound += 4 * mp.power(2, -(nmax + 1) * s)
@@ -235,7 +314,7 @@ def _g_chi4(s: int, eps):
 
 def _prime_zeta_chi4_mpf(s: int, eps):
     """P_chi(s) = sum over odd primes of chi4(p) p**-s; valid for s >= 1."""
-    key = ("Pchi", s, mp.dps)
+    key = ("Pchi", s, mp.dps, eps)
     hit = _pz_cache.get(key)
     if hit is not None:
         return hit
@@ -257,15 +336,19 @@ def _prime_zeta_chi4_mpf(s: int, eps):
 # ---------------------------------------------------------------------------
 # Public zeta / prime zeta.
 
-def zeta(s: int, digits: int = 15) -> HighPrecisionValue:
-    """Riemann zeta at an integer point s >= 2 with a certified bound."""
+def _check_zeta_args(s: int, digits: int) -> None:
     if s < 2:
         raise ValueError("s must be at least 2")
-    if digits < 1:
-        raise ValueError("digits must be positive")
+    if not 1 <= digits <= 100:
+        raise ValueError("digits must be in [1, 100]")
+
+
+def zeta(s: int, digits: int = 15) -> HighPrecisionValue:
+    """Riemann zeta at an integer point s >= 2, digits in [1, 100]."""
+    _check_zeta_args(s, digits)
     with mp.workdps(digits + _GUARD):
         eps = mp.mpf(10) ** (-(digits + 6))
-        v, b = _em_hurwitz(s, 1, eps)
+        v, b = _em_hurwitz(s, Fraction(1), eps)
         return _hpv(v, b, digits, "euler_maclaurin")
 
 
@@ -274,11 +357,11 @@ _CHARACTERS = ("trivial", "mod4")
 
 def prime_zeta(s: int, digits: int = 15,
                character: str = "trivial") -> HighPrecisionValue:
-    """Sum of chi(p)/p**s over primes, via Moebius inversion of log zeta."""
-    if s < 2:
-        raise ValueError("s must be at least 2")
-    if digits < 1:
-        raise ValueError("digits must be positive")
+    """Sum of chi(p)/p**s over primes, s >= 2 and digits in [1, 100].
+
+    Computed by Moebius inversion of log zeta (log beta for mod4).
+    """
+    _check_zeta_args(s, digits)
     if character not in _CHARACTERS:
         raise ValueError(f"character must be one of {_CHARACTERS}")
     with mp.workdps(digits + _GUARD):
@@ -293,42 +376,59 @@ def prime_zeta(s: int, digits: int = 15,
 # ---------------------------------------------------------------------------
 # Singular series for admissible patterns.
 
-def _prime_power_sums(ps, m_top: int):
-    """sums[m] = sum of p**-m over the given primes, for 2 <= m <= m_top."""
-    inv = [mp.mpf(1) / p for p in ps]
-    cur = [x * x for x in inv]
-    out = {2: mp.fsum(cur)}
-    for m in range(3, m_top + 1):
-        cur = [c * i for c, i in zip(cur, inv)]
-        out[m] = mp.fsum(cur)
-    return out
-
-
-def _pattern_raw_mpf(pat: Pattern, digits: int, p0: int):
-    """The full singular series over all primes: returns (value, bound)."""
-    k = pat.k
-    eps = mp.mpf(10) ** (-(digits + 6))
-    base = [int(p) for p in small_primes(p0)]
-    # exact head: log terms (1 - nu/p) - k*log(1 - 1/p) for p <= P0
-    logs = []
-    for p in base:
-        nu = pat.residue_count(p) if p <= pat.reach else min(k, p)
-        pm = mp.mpf(p)
-        logs.append(mp.log(1 - mp.mpf(nu) / pm) - k * mp.log(1 - 1 / pm))
-    head = mp.fsum(logs)
-
-    # tail: sum_m (k - k**m)/m * T_m with T_m the prime power sums past P0
+def _tail_order(k: int, p0: int, eps) -> int:
+    """Last power m of the tail series; the rest is bounded geometrically."""
     j_top = 2
     while (p0 / (j_top * (j_top - 1))) * (k / p0) ** j_top > float(eps) / 4:
         j_top += 1
-    odd_base = [p for p in base if p > 2]
-    head_sums = _prime_power_sums([mp.mpf(p) for p in base], j_top)
+    return j_top
+
+
+def _log_ratio(num: int, den: int):
+    """log(num / den) for exact ints, through one fixed-point quotient."""
+    w = _fixed_width()
+    return mp.log(_from_fixed((num << w) // den, w))
+
+
+@lru_cache(maxsize=None)
+def _head_past_reach(k: int, reach: int, p0: int) -> tuple[int, int]:
+    """prod over reach < p <= P0 of (p - k) p**(k-1), and of (p - 1)**k.
+
+    Past the reach the k offsets are distinct mod p, so nu(p) = k.
+    """
+    num = den = 1
+    for p in map(int, small_primes(p0)):
+        if p > reach:
+            num *= (p - k) * p ** (k - 1)
+            den *= (p - 1) ** k
+    return num, den
+
+
+def _pattern_raw_mpf(pat: Pattern, digits: int, p0: int,
+                     scaled: bool = False):
+    """The full singular series over all primes: returns (value, bound).
+
+    With scaled, the prime zeta value P(m) is asked for at eps / |c_m|, so
+    no tail coefficient can magnify its remainder past eps.
+    """
+    k = pat.k
+    eps = mp.mpf(10) ** (-(digits + 6))
+    # exact head: prod over p <= P0 of (1 - nu/p) (1 - 1/p)**-k as one ratio
+    num, den = _head_past_reach(k, pat.reach, p0)
+    for p in map(int, small_primes(min(pat.reach, p0))):
+        num *= (p - pat.residue_count(p)) * p ** (k - 1)
+        den *= (p - 1) ** k
+    head = _log_ratio(num, den)
+
+    # tail: sum_m (k - k**m)/m * T_m with T_m the prime power sums past P0
+    j_top = _tail_order(k, p0, eps)
+    sums = _head_power_sums(p0, j_top)
     tail = mp.mpf(0)
     bound = mp.mpf(0)
     for m in range(2, j_top + 1):
-        pz, pzb = _prime_zeta_mpf(m, eps)
-        t_m = pz - head_sums[m]
         c_m = mp.mpf(k - k**m) / m
+        pz, pzb = _prime_zeta_mpf(m, eps / max(1, abs(c_m)) if scaled else eps)
+        t_m = pz - _from_fixed(sums.plain[m], sums.w)
         tail += c_m * t_m
         bound += abs(c_m) * pzb
     # geometric bound on everything past j_top
@@ -341,13 +441,37 @@ def _pattern_raw_mpf(pat: Pattern, digits: int, p0: int):
     return value, bound
 
 
+def _series_hpv(pat: Pattern, digits: int, p0: int,
+                share: int = 1) -> HighPrecisionValue:
+    """The singular series divided by share, certified to digits places.
+
+    The tail coefficients |c_m| = |k - k**m| / m reach 10**9 for k = 4, and
+    they multiply the prime zeta remainders.  When that keeps the first
+    pass from certifying, the second asks each P(m) for eps / |c_m|, with
+    working digits raised by the digits of |k - k**j_top|, which bounds
+    every |c_m|.
+    """
+    method = f"hybrid_product_p0={p0}"
+    with mp.workdps(digits + _GUARD):
+        v, b = _pattern_raw_mpf(pat, digits, p0)
+        try:
+            return _hpv(v / share, b / share, digits, method)
+        except MathViolationError:
+            pass
+    k = pat.k
+    c_top = abs(k - k ** _tail_order(k, p0, mp.mpf(10) ** (-(digits + 6))))
+    with mp.workdps(digits + _GUARD + len(str(c_top))):
+        v, b = _pattern_raw_mpf(pat, digits, p0, scaled=True)
+        return _hpv(v / share, b / share, digits, method)
+
+
 def pattern_constant(pattern, digits: int = 10, *,
                      p0: int = _DEFAULT_P0) -> HighPrecisionValue:
     """The singular series prod_p (1 - nu(p)/p) (1 - 1/p)**-k for the pattern.
 
     For the pair pattern this equals twice the twin constant; the printed
     triplet and quadruplet constants are this same product (their usual
-    normalized forms are algebraically identical).
+    normalized forms are algebraically identical).  Digits in [1, 50].
     """
     pat = Pattern.coerce(pattern)
     if not admissible(pat):
@@ -358,19 +482,20 @@ def pattern_constant(pattern, digits: int = 10, *,
         raise ValueError("digits must be in [1, 50]")
     if p0 < max(100, pat.reach + 1):
         raise ValueError("P0 must exceed the pattern reach (and be >= 100)")
-    with mp.workdps(digits + _GUARD):
-        v, b = _pattern_raw_mpf(pat, digits, p0)
-        return _hpv(v, b, digits, f"hybrid_product_p0={p0}")
+    return _series_hpv(pat, digits, p0)
 
 
 def twin_constant(digits: int = 10, *,
                   p0: int = _DEFAULT_P0) -> HighPrecisionValue:
-    """The twin prime constant: half the pair pattern's singular series."""
+    """The twin prime constant: half the pair pattern's singular series.
+
+    Digits in [1, 50].
+    """
     if not 1 <= digits <= 50:
         raise ValueError("digits must be in [1, 50]")
-    with mp.workdps(digits + _GUARD):
-        v, b = _pattern_raw_mpf(Pattern.coerce((0, 2)), digits, p0)
-        return _hpv(v / 2, b / 2, digits, f"hybrid_product_p0={p0}")
+    if p0 < 100:
+        raise ValueError("P0 must be >= 100")
+    return _series_hpv(Pattern.coerce((0, 2)), digits, p0, share=2)
 
 
 def quad_constant(digits: int = 10, *,
@@ -379,16 +504,21 @@ def quad_constant(digits: int = 10, *,
 
     The raw product converges only conditionally (alternating character),
     so the tail is evaluated through mod-4 prime zeta values instead of
-    truncation.
+    truncation.  Digits in [1, 15].
     """
     if not 1 <= digits <= 15:
         raise ValueError("digits must be in [1, 15]")
+    if p0 < 100:
+        raise ValueError("P0 must be >= 100")
     with mp.workdps(digits + _GUARD):
         eps = mp.mpf(10) ** (-(digits + 6))
-        base = [int(p) for p in small_primes(p0) if p > 2]
-        chi = [1 if p % 4 == 1 else -1 for p in base]
-        head = mp.fsum(mp.log(1 - mp.mpf(c) / (p - 1))
-                       for p, c in zip(base, chi))
+        # exact head: prod over odd p <= P0 of (p - 1 - chi) / (p - 1)
+        num = den = 1
+        for p in map(int, small_primes(p0)):
+            if p > 2:
+                num *= p - 2 if p % 4 == 1 else p
+                den *= p - 1
+        head = _log_ratio(num, den)
 
         # log(1 - chi*t/(1-t)) = -sum_j t**j (A_j chi + B_j), t = 1/p
         j_top = 2
@@ -399,24 +529,20 @@ def quad_constant(digits: int = 10, *,
         b_coef = {j: sum(Fraction(comb(j - 1, m - 1), m)
                          for m in range(2, j + 1, 2)) for j in range(1, j_top + 1)}
 
-        inv = [mp.mpf(1) / p for p in base]
-        pw = list(inv)
+        sums = _head_power_sums(p0, j_top)
         tail = mp.mpf(0)
         bound = mp.mpf(0)
         for j in range(1, j_top + 1):
-            chi_head = mp.fsum(c * w for c, w in zip(chi, pw))
-            odd_head = mp.fsum(pw)
             pchi, pchib = _prime_zeta_chi4_mpf(j, eps)
-            t_chi = pchi - chi_head
+            t_chi = pchi - _from_fixed(sums.chi[j], sums.w)
             term = mp.mpf(a_coef[j].numerator) / a_coef[j].denominator * t_chi
             bound += abs(mp.mpf(a_coef[j].numerator) / a_coef[j].denominator) * pchib
             if b_coef[j]:
                 podd, poddb = _prime_zeta_odd_mpf(j, eps)
-                t_odd = podd - odd_head
+                t_odd = podd - _from_fixed(sums.odd[j], sums.w)
                 term += mp.mpf(b_coef[j].numerator) / b_coef[j].denominator * t_odd
                 bound += abs(mp.mpf(b_coef[j].numerator) / b_coef[j].denominator) * poddb
             tail -= term
-            pw = [w * i for w, i in zip(pw, inv)]
         bound += 4 * mp.power(2, j_top + 1) * mp.power(p0, -j_top)
 
         full = mp.e ** (head + tail)
@@ -498,8 +624,16 @@ _PREDICT_TAGS = ("pi2k", "l2", "pattern", "goldbach_r", "qn")
 
 
 @lru_cache(maxsize=None)
+def _alpha25() -> HighPrecisionValue:
+    """The twin constant to 25 digits, computed once per process.
+
+    Every float or long-double use of alpha reads this one value.
+    """
+    return twin_constant(25)
+
+
 def _alpha_float() -> float:
-    return float(twin_constant(18))
+    return float(_alpha25())
 
 
 @lru_cache(maxsize=None)

@@ -290,9 +290,9 @@ def chen_comparison(x: int, sample_n: int | None = None) -> dict:
     if x < 10**3:
         raise ValueError("x must be at least 1000")
     from .census import count_pairs_2k, count_twin_almost_primes
-    from .constants import _odd_factor_product, li2, twin_constant
+    from .constants import _alpha_float, _odd_factor_product, li2
 
-    alpha = float(twin_constant(18))
+    alpha = _alpha_float()
     pi2 = count_pairs_2k(1, x).final_count
     pi12 = count_twin_almost_primes(x).final_count
     if pi12 < pi2:

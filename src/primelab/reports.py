@@ -243,7 +243,7 @@ def _records_section(lines: list[str]) -> None:
     lines.append(f"- pi2({_fmt_int(sebah.value[0])}) = "
                  f"{_fmt_int(sebah.value[1])} ({sebah.citation}).")
     pred = refdata.PI2_1E16_PREDICTED
-    alpha2 = 2 * float(constants.twin_constant(16))
+    alpha2 = 2 * constants._alpha_float()
     live = alpha2 * float(constants.li2_precise(10**16, dps=30))
     lines.append(f"- density prediction at 1e16: published "
                  f"{_fmt_int(pred.value)} ({pred.citation}); recomputed "

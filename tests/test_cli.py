@@ -39,6 +39,22 @@ def test_constants_twin_json(capsys):
     assert obj["digits"] == 10
 
 
+def test_constants_digits_domain(capsys):
+    # out-of-range digits are a usage error (exit 2), not an internal one
+    for argv in (("prime-zeta", "--s", "2", "--digits", "400"),
+                 ("zeta", "--s", "3", "--digits", "101"),
+                 ("prime-zeta", "--s", "3", "--character", "mod4",
+                  "--digits", "0")):
+        code, out = run(capsys, "constants", *argv)
+        assert code == 2, argv
+        assert out == ""
+    # certifies now; it used to be a mathematical violation (exit 1)
+    code, out = run(capsys, "constants", "pattern", "--offsets", "0,2,6,8",
+                    "--digits", "30")
+    assert code == 0
+    assert out.strip() == "4.151180863237415757165285561960"
+
+
 def test_goldbach_verify_clean(capsys):
     code, out = run(capsys, "goldbach", "verify", "--from", "4",
                     "--to", "1e5")

@@ -57,6 +57,12 @@ CASES = [
     "constants predict --quantity pi2k --x 1e6 --k 1",
     "constants bounds --x 1e6",
     "constants report",
+    "constants twin --digits 50",
+    "constants pattern --offsets 0,2,6 --digits 40",
+    "constants pattern --offsets 0,2,6,8 --digits 20",
+    "constants quad --digits 15",
+    "constants zeta --s 5 --digits 40",
+    "constants prime-zeta --s 3 --character mod4 --digits 30",
     "brun partial --limit 1e5 --checkpoints 1e3,1e4,1e5",
     "brun table --limit 1e5",
     "brun extrapolate --sum 1.8 --limit 1e8",

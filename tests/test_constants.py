@@ -1,5 +1,6 @@
+import itertools
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from primelab.census import admissible
 from primelab.constants import (
     HighPrecisionValue,
     Prediction,
@@ -178,13 +180,133 @@ def test_constants_domain_errors():
         prime_zeta(1)
     with pytest.raises(ValueError):
         quad_constant(40)
+    # zeta and prime_zeta take digits in [1, 100]
+    for bad in (0, 101, 400):
+        with pytest.raises(ValueError):
+            zeta(3, bad)
+        for character in ("trivial", "mod4"):
+            with pytest.raises(ValueError):
+                prime_zeta(2, bad, character)
+    assert zeta(3, 100).digits_requested == 100
+    # P0 below 100 is rejected: at 3 the tail coefficients outgrow the
+    # working precision, and at 2 the search for the tail order has no end
+    for p0 in (1, 2, 3, 99):
+        with pytest.raises(ValueError):
+            twin_constant(10, p0=p0)
+        with pytest.raises(ValueError):
+            quad_constant(10, p0=p0)
 
 
-@given(st.integers(min_value=1, max_value=30))
+@given(st.integers(min_value=1, max_value=50))
 def test_decimal_str_length(digits):
     s = twin_constant(digits).decimal_str()
     frac = s.split(".")[1]
     assert len(frac) == digits
+
+
+def test_head_power_sums_fixed_point_error():
+    # each W-bit sum of N terms is off by less than N * 2**-W
+    from primelab.constants import _HeadPowerSums
+    ps = naive_sieve(1000)
+    w = 80
+    sums = _HeadPowerSums(1000, w).upto(6)
+    for m in range(1, 7):
+        for got, chi in ((sums.plain[m], lambda p: 1),
+                         (sums.odd[m], lambda p: p % 2),
+                         (sums.chi[m], lambda p: 0 if p == 2 else
+                          (1 if p % 4 == 1 else -1))):
+            exact = sum(Fraction(chi(p), p**m) for p in ps) * 2**w
+            assert abs(exact - got) < len(ps), m
+
+
+def _small_admissible_patterns():
+    evens = range(2, 13, 2)
+    return [(0,) + rest for k in range(4)
+            for rest in itertools.combinations(evens, k)
+            if admissible((0,) + rest)]
+
+
+def test_every_small_pattern_certifies():
+    # k <= 4 and reach <= 12 at every supported digits: the tail
+    # coefficients |c_m| = |k - k**m|/m reach 10**9 and magnify the prime
+    # zeta remainders, so (0,2,6,8) from 26 digits and the triplets from 41
+    # need the second pass to certify
+    pats = _small_admissible_patterns()
+    assert len(pats) == 26
+    for pat in pats:
+        ref = pattern_constant(pat, 50)
+        for digits in range(1, 50):
+            got = pattern_constant(pat, digits)
+            diff = abs(Decimal(got.decimal_str()) - Decimal(ref.decimal_str()))
+            assert diff <= (Decimal(1).scaleb(-digits) / 2
+                            + got.abs_error_bound + ref.abs_error_bound
+                            + Decimal(1).scaleb(-50)), (pat, digits)
+    for digits in range(1, 16):
+        assert len(quad_constant(digits).decimal_str().split(".")[1]) == digits
+
+
+# OEIS A005597, the twin prime constant
+A005597 = "0.66016181584686957392781211001455577843262336028473341331944"
+
+
+def test_twin_constant_50_digits_vs_oeis():
+    with localcontext() as ctx:
+        ctx.prec = 80
+        want = Decimal(A005597).quantize(Decimal(1).scaleb(-50))
+    assert twin_constant(50).decimal_str() == str(want)
+
+
+def _series_oracle(offsets, dps=45, head_limit=1000):
+    """Singular series from a head over p <= head_limit and an mpmath
+    prime zeta tail, sum_m (k - k**m)/m (P(m) - sum p**-m)."""
+    k = len(offsets)
+    with mp.workdps(dps):
+        ps = naive_sieve(head_limit)
+        head = mp.fsum(
+            mp.log(1 - mp.mpf(len({o % p for o in offsets})) / p)
+            - k * mp.log(1 - mp.mpf(1) / p) for p in ps)
+        tail = mp.mpf(0)
+        m = 2
+        while mp.mpf(k) ** m / m * mp.mpf(head_limit) ** (1 - m) > \
+                mp.mpf(10) ** -(dps - 5):
+            rest = mp.primezeta(m) - mp.fsum(mp.mpf(p) ** -m for p in ps)
+            tail += mp.mpf(k - k**m) / m * rest
+            m += 1
+        return Decimal(mp.nstr(mp.exp(head + tail), dps - 5))
+
+
+def test_triplet_and_quadruplet_vs_mpmath_primezeta():
+    for offsets in ((0, 2, 6), (0, 2, 6, 8)):
+        got = pattern_constant(offsets, 30)
+        want = _series_oracle(offsets)
+        assert abs(Decimal(got.decimal_str()) - want) <= \
+            Decimal(1).scaleb(-30) / 2 + got.abs_error_bound
+
+
+def test_quad_constant_p0_self_consistency():
+    a = quad_constant(15, p0=10**4)
+    b = quad_constant(15, p0=3 * 10**4)
+    assert a.decimal_str() == b.decimal_str()
+
+
+def test_paper_report_evaluates_pair_series_at_most_three_times(monkeypatch):
+    # the "alpha" and "2 alpha" rows, and one cached 25-digit alpha read
+    # by every float and long-double use (predictions, bounds, Brun,
+    # Goldbach, records)
+    from primelab import brun, constants, reports
+    constants._alpha25.cache_clear()
+    brun._alpha_longdouble.cache_clear()
+    calls = []
+    real = constants._pattern_raw_mpf
+
+    def counting(pat, *args, **kwargs):
+        if pat.offsets == (0, 2):
+            calls.append(args)
+        return real(pat, *args, **kwargs)
+
+    monkeypatch.setattr(constants, "_pattern_raw_mpf", counting)
+    reports.build_comparison_document(10**4)
+    assert 1 <= len(calls) <= 3, calls
 
 
 # --- predictions and bounds ----------------------------------------------------
