@@ -1,15 +1,17 @@
 """Reciprocal sums over twin pairs and the extrapolated series limit.
 
 Pairs are indexed by their smaller member p <= limit (the census
-convention), so 5 contributes through both (3,5) and (5,7).  Segments
-are summed in 80-bit floats and merged into a Kahan-compensated
-accumulator in ascending range order; shard boundaries are fixed by the
-segment size, not the thread count, so totals do not depend on threads.
+convention), so 5 contributes through both (3,5) and (5,7).  Each 1/q is
+summed as floor(2**128 / q): a sum is an integer N at scale 2**128, and
+per-mark totals merge by addition as census counts do, so they are the
+same for any segment size, thread count, stride or platform.  The exact
+sum S satisfies 0 <= S - N/2**128 < 2*pairs/2**128.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from decimal import Decimal
+from fractions import Fraction
+from itertools import count
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -19,136 +21,166 @@ from .errors import CheckpointError
 from .refdata import BRUN_ESTIMATES, BRUN_KUTRIB_RICHSTEIN, BRUN_REFERENCE
 from .scan import Kernel, normalize_marks, scan
 
-__all__ = [
-    "BrunAccumulator",
-    "BrunRow",
-    "BrunReportRow",
-    "brun_partial",
-    "brun_extrapolate",
-    "brun_table_report",
-    "estimate_marks",
-    "format_longdouble",
-    "parse_longdouble",
-]
+__all__ = ["BrunRow", "BrunReportRow", "brun_partial", "brun_extrapolate",
+           "brun_table_report", "estimate_marks", "format_sum"]
 
-_LD = np.longdouble
+SCALE_BITS = 128
 
 
-def format_longdouble(x) -> str:
-    """Shortest decimal string that parses back to the same 80-bit float."""
-    return np.format_float_positional(_LD(x), unique=True)
+def _round64(x: Fraction) -> tuple[int, int]:
+    """x >= 0 as m * 2**e, 2**63 <= m < 2**64 (0 as 0, 0), rounded to
+    nearest, ties to even: the x86-64 long double format."""
+    if not x:
+        return 0, 0
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    e -= 64 if x < Fraction(2) ** e else 63  # 2**63 <= x / 2**e < 2**64
+    m = round(x / Fraction(2) ** e)  # half to even
+    return (m >> 1, e + 1) if m == 1 << 64 else (m, e)
 
 
-def parse_longdouble(s: str) -> np.longdouble:
-    return _LD(s)
+def format_sum(x) -> str:
+    """Shortest decimal that identifies the 64-bit-significand value nearest x.
 
-
-@dataclass
-class BrunAccumulator:
-    """Compensated twin-reciprocal sum to limit_done, a row per mark passed."""
-
-    limit_done: int = 2
-    pair_count: int = 0
-    sum: np.longdouble = _LD(0)
-    compensation: np.longdouble = _LD(0)
-    rows: list[BrunRow] = field(default_factory=list)
-
-    def merge(self, block_sum, block_pairs: int, new_limit: int) -> None:
-        y = _LD(block_sum) - self.compensation
-        t = self.sum + y
-        self.compensation = (t - self.sum) - y
-        self.sum = t
-        self.pair_count += int(block_pairs)
-        self.limit_done = int(new_limit)
+    Of the shortest strings that read back to that value, the one closest
+    to it, as numpy prints an 80-bit long double.  For a row sum N/2**128
+    the value can differ from the one nearest the exact sum S only when a
+    rounding boundary lies in (N/2**128, S].
+    """
+    m, e = _round64(Fraction(x))
+    ulp = Fraction(2) ** e
+    v = m * ulp
+    low, high = v - ulp / (4 if m == 1 << 63 else 2), v + ulp / 2
+    for places in count(1 - len(str(int(v)))):  # from the leading digit
+        unit = Fraction(10) ** -places
+        c = int(v // unit)
+        down, up = c * unit > low, (c + 1) * unit < high
+        if down or up:
+            break
+    twice = 2 * (v - c * unit)
+    if up and (not down or twice > unit or (twice == unit and c & 1)):
+        c += 1
+    text = format(Decimal(f"{c}e{-places}"), "f")
+    return text if "." in text else text + "."
 
 
 class BrunRow(NamedTuple):
     limit: int
-    sum: np.longdouble
+    sum: Fraction  # N / 2**128
     pair_count: int
 
 
 class _BrunSum(Kernel):
-    """Sum of 1/p + 1/(p+2) over twin pairs, as a BrunAccumulator."""
+    """Per mark, twin pairs p <= mark and N = sum floor(2**128/q), q = p, p+2.
+
+    The state is a 2 x marks object array (pairs, N).  Long division by q
+    runs in int64 limbs of w = 63 - bitlen(limit + 2) bits, the last one
+    narrower so the scale is exactly 2**128: a remainder shifted by w, and
+    a segment's digit sum per limb (under limit + 2 terms), stay below 2**63.
+    """
 
     reach = 2
-    exact = False
 
     def __init__(self, limit: int, marks: tuple[int, ...]):
         self.task_id = f"brun@{limit}"
         self.marks = marks
+        w = 63 - (limit + 2).bit_length()
+        k = -(-SCALE_BITS // w)
+        self.widths = [w] * (k - 1) + [SCALE_BITS - w * (k - 1)]
 
-    def empty(self) -> BrunAccumulator:
-        return BrunAccumulator()
+    def empty(self) -> np.ndarray:
+        return np.zeros((2, len(self.marks)), dtype=object)
 
-    def segment(self, lo: int, hi: int, bits: np.ndarray) -> BrunAccumulator:
+    def _scaled(self, digits: np.ndarray) -> int:
+        n = 0
+        for s, w in zip(digits.sum(axis=1).tolist(), self.widths):
+            n = (n << w) + s
+        return n
+
+    def segment(self, lo: int, hi: int, bits: np.ndarray) -> np.ndarray:
         slots = (hi - lo) // 2
-        inst = bits[:slots] & bits[1:slots + 1]
-        idx = np.nonzero(inst)[0]
-        p = lo + 1 + 2 * idx.astype(np.int64)
-        recips = 1.0 / p.astype(_LD) + 1.0 / (p + 2).astype(_LD)
-        part = BrunAccumulator(
-            hi, int(idx.size), recips.sum(dtype=_LD) if idx.size else _LD(0))
-        for mk in self.marks:
-            if lo <= mk < hi:
-                cnt = int(np.searchsorted(p, mk, side="right"))
-                psum = recips[:cnt].sum(dtype=_LD) if cnt else _LD(0)
-                part.rows.append(BrunRow(mk, psum, cnt))
+        p = lo + 1 + 2 * np.flatnonzero(bits[:slots] & bits[1:slots + 1])
+        q = np.repeat(p, 2)
+        q[1::2] += 2
+        r = np.ones_like(q)
+        digits = np.empty((len(self.widths), q.size), dtype=np.int64)
+        for w, d in zip(self.widths, digits):  # in place: no temporaries
+            np.left_shift(r, w, out=r)
+            np.divmod(r, q, out=(d, r))
+        part = self.empty()
+        full = (p.size, self._scaled(digits))
+        for j, mark in enumerate(self.marks):
+            if mark >= hi - 1:
+                part[:, j] = full
+            elif mark >= lo:
+                cnt = int(np.searchsorted(p, mark, side="right"))
+                part[:, j] = cnt, self._scaled(digits[:, :2 * cnt])
         return part
 
-    def merge(self, acc: BrunAccumulator,
-              part: BrunAccumulator) -> BrunAccumulator:
-        acc.rows += [BrunRow(r.limit, acc.sum + r.sum,
-                             acc.pair_count + r.pair_count) for r in part.rows]
-        acc.merge(part.sum, part.pair_count, part.limit_done)
-        return acc
+    def merge(self, acc: np.ndarray, part: np.ndarray) -> np.ndarray:
+        return acc + part
 
-    def dump(self, acc: BrunAccumulator) -> dict:
-        return {
-            "sum": format_longdouble(acc.sum),
-            "comp": format_longdouble(acc.compensation),
-            "pairs": str(acc.pair_count),
-            "rows": [[r.limit, format_longdouble(r.sum), r.pair_count]
-                     for r in acc.rows],
-        }
+    def dump(self, state: np.ndarray) -> dict:
+        return {"marks": list(self.marks),
+                "pairs": [str(c) for c in state[0]],
+                "sums": [str(n) for n in state[1]]}
 
-    def load(self, payload: dict, range_done: int) -> BrunAccumulator:
-        acc = BrunAccumulator(
-            range_done, int(payload["pairs"]),
-            parse_longdouble(payload["sum"]),
-            parse_longdouble(payload["comp"]),
-            [BrunRow(int(m), parse_longdouble(s), int(c))
-             for m, s, c in payload["rows"]])
-        if [r.limit for r in acc.rows] != [m for m in self.marks
-                                           if m < range_done]:
+    def load(self, payload: dict, range_done: int) -> np.ndarray:
+        if "sum" in payload:
+            # Earlier releases saved long doubles: the running sum to
+            # range_done ("comp" its Kahan term) and a row per mark passed.
+            # Each is a sum below 2 with fewer than 50 roundings of
+            # relative size 2**-64, so within 2**-56 of the exact sum.
+            cells = [(m, c, s) for m, s, c in payload["rows"]] + [
+                (m, payload["pairs"], payload["sum"])
+                for m in self.marks if m >= range_done]
+            marks, pairs, sums = zip(*cells)
+            payload = {"marks": list(marks), "pairs": pairs,
+                       "sums": [int(Fraction(s) * 2**SCALE_BITS) for s in sums]}
+        state = np.array([[int(c) for c in payload["pairs"]],
+                          [int(n) for n in payload["sums"]]], dtype=object)
+        if (payload.get("marks") != list(self.marks)
+                or state.shape != (2, len(self.marks))):
             raise CheckpointError("checkpoint marks do not match this run")
-        return acc
+        return state
 
 
 def brun_partial(limit: int, checkpoints: Sequence[int] | None = None, *,
                  cfg: Config | None = None,
                  checkpoint_path=None,
                  checkpoint_stride: int = 1 << 28) -> list[BrunRow]:
-    """Compensated partial sums at each requested mark (default: the limit)."""
-    if limit < 5:
-        raise ValueError("limit must be at least 5")
+    """Exact fixed-point sums at each mark (default: the limit); limit + 2
+    < 2**62, the domain of the int64 limbs."""
+    if not 5 <= limit < (1 << 62) - 2:
+        raise ValueError("need limit >= 5 and limit + 2 < 2**62")
     cfg = (cfg or Config()).validate()
     marks = normalize_marks(limit, checkpoints)
-    return scan(2, limit + 1, _BrunSum(limit, marks), cfg, checkpoint_path,
-                checkpoint_stride).rows
+    state = scan(2, limit + 1, _BrunSum(limit, marks), cfg, checkpoint_path,
+                 checkpoint_stride)
+    return [BrunRow(m, Fraction(int(n), 2**SCALE_BITS), int(c))
+            for m, c, n in zip(marks, *state)]
 
 
-@lru_cache(maxsize=None)
-def _alpha_longdouble() -> np.longdouble:
-    from .constants import _alpha25
-    return _LD(_alpha25().decimal_str())
+def brun_extrapolate(sum_value, limit: int) -> Fraction:
+    """sum + 4*alpha/log(limit); assumes the pair-density conjecture.
 
-
-def brun_extrapolate(sum_value, limit: int) -> np.longdouble:
-    """sum + 4*alpha/log(limit); assumes the pair-density conjecture."""
+    sum_value (a Fraction, float or decimal string, finite and >= 0) is
+    first rounded to a 64-bit significand, so a format_sum string gives
+    the same result as the sum it was printed from.  The correction is
+    added at 40 digits and the result rounded to a 64-bit significand.
+    """
     if limit < 10**3:
         raise ValueError("limit must be at least 1000")
-    return _LD(sum_value) + 4 * _alpha_longdouble() / np.log(_LD(limit))
+    s = Fraction(sum_value)  # 'nan' and 'inf' raise ValueError
+    if s < 0:
+        raise ValueError("sum must be non-negative")
+    from mpmath import mp
+
+    from .constants import _alpha25
+    with mp.workdps(40):
+        v = mp.ldexp(*_round64(s)) + (4 * mp.mpf(_alpha25().decimal_str())
+                                      / mp.log(limit))
+    m, e = _round64(int(v.man) * Fraction(2) ** int(v.exp))
+    return m * Fraction(2) ** e
 
 
 class BrunReportRow(NamedTuple):
@@ -177,20 +209,12 @@ def brun_table_report(partials: Sequence[BrunRow]) -> dict:
     ref = float(BRUN_REFERENCE.value)
     rows = []
     for part in partials:
-        ext = None
-        diff = None
-        if part.limit >= 10**3:
-            ext_val = brun_extrapolate(part.sum, part.limit)
-            ext = format_longdouble(ext_val)
-            diff = float(ext_val) - ref
-        pub = by_limit.get(part.limit)
+        ext = (brun_extrapolate(part.sum, part.limit)
+               if part.limit >= 10**3 else None)
         rows.append(BrunReportRow(
-            part.limit, format_longdouble(part.sum), ext,
-            pub[2] if pub else None, pub[3] if pub else None,
-            pub[4] if pub else None, diff))
-    return {
-        "rows": rows,
-        "reference": BRUN_REFERENCE,
-        "alternate_reference": BRUN_KUTRIB_RICHSTEIN,
-        "extrapolation": "conjecture-conditional",
-    }
+            part.limit, format_sum(part.sum), ext and format_sum(ext),
+            *by_limit.get(part.limit, (None,) * 5)[2:],
+            ext and float(ext) - ref))
+    return {"rows": rows, "reference": BRUN_REFERENCE,
+            "alternate_reference": BRUN_KUTRIB_RICHSTEIN,
+            "extrapolation": "conjecture-conditional"}

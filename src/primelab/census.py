@@ -150,11 +150,10 @@ class _PatternCensus(Kernel):
                 "marks": list(self.marks)}
 
     def load(self, payload: dict, range_done: int) -> np.ndarray:
-        if payload.get("marks") != list(self.marks):
-            raise CheckpointError("checkpoint marks do not match this run")
         totals = np.array([int(t) for t in payload["totals"]], dtype=np.int64)
-        if len(totals) != len(self.marks):
-            raise CheckpointError("checkpoint totals length mismatch")
+        if (payload.get("marks") != list(self.marks)
+                or len(totals) != len(self.marks)):
+            raise CheckpointError("checkpoint marks do not match this run")
         return totals
 
 

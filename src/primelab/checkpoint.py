@@ -1,8 +1,8 @@
 """Resumable-task checkpoints.
 
 Files are line-delimited JSON, one object per checkpoint, newest last.
-All numeric payload values are decimal strings so that floating state
-round-trips losslessly and files stay hand-inspectable.  Writes replace
+All numeric payload values are decimal strings so that integers of any
+size round-trip losslessly and files stay hand-inspectable.  Writes replace
 the whole file atomically (temp file + rename); a crash mid-write leaves
 the previous state intact.
 """

@@ -256,9 +256,8 @@ def _cmd_constants(args) -> int:
 def _cmd_brun(args) -> int:
     cfg = _cfg(args)
     if args.action == "extrapolate":  # text only
-        v = brun_mod.brun_extrapolate(brun_mod.parse_longdouble(args.sum),
-                                      args.limit)
-        _emit(args, brun_mod.format_longdouble(v))
+        v = brun_mod.brun_extrapolate(args.sum, args.limit)
+        _emit(args, brun_mod.format_sum(v))
         return 0
     marks = args.checkpoints
     if args.action == "table" and marks is None:
@@ -268,7 +267,7 @@ def _cmd_brun(args) -> int:
                                  checkpoint_path=args.checkpoint,
                                  checkpoint_stride=args.stride)
     if args.action == "partial":
-        cells = [(r.limit, brun_mod.format_longdouble(r.sum), r.pair_count)
+        cells = [(r.limit, brun_mod.format_sum(r.sum), r.pair_count)
                  for r in rows]
         _emit(args, [{"limit": l, "sum": s, "pair_count": c}
                      for l, s, c in cells], ("limit,sum,pair_count", cells))
@@ -454,14 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("brun", parents=[common],
                         help="twin reciprocal sums")
     sb = pb.add_subparsers(dest="action", required=True)
-    c = sb.add_parser("partial", parents=[common, resumable])
-    c.add_argument("--limit", type=int_arg, required=True)
-    c.add_argument("--checkpoints", type=_int_list, default=None)
-    c.add_argument("--stride", type=int_arg, default=1 << 28)
-    c = sb.add_parser("table", parents=[common, resumable])
-    c.add_argument("--limit", type=int_arg, required=True)
-    c.add_argument("--checkpoints", type=_int_list, default=None)
-    c.add_argument("--stride", type=int_arg, default=1 << 28)
+    for action in ("partial", "table"):
+        c = sb.add_parser(action, parents=[common, resumable])
+        c.add_argument("--limit", type=int_arg, required=True)
+        c.add_argument("--checkpoints", type=_int_list, default=None)
+        c.add_argument("--stride", type=int_arg, default=1 << 28)
     c = sb.add_parser("extrapolate", parents=[common])
     c.add_argument("--sum", required=True)
     c.add_argument("--limit", type=int_arg, required=True)

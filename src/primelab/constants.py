@@ -627,7 +627,8 @@ _PREDICT_TAGS = ("pi2k", "l2", "pattern", "goldbach_r", "qn")
 def _alpha25() -> HighPrecisionValue:
     """The twin constant to 25 digits, computed once per process.
 
-    Every float or long-double use of alpha reads this one value.
+    Every float use of alpha, and the Brun extrapolation, reads this one
+    value.
     """
     return twin_constant(25)
 

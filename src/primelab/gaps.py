@@ -68,17 +68,6 @@ class IntervalCount(NamedTuple):
     ratio: float
 
 
-def _next_prime_after(n: int) -> int:
-    c = n + 1
-    if c <= 2:
-        return 2
-    if c % 2 == 0:
-        c += 1
-    while not is_prime_64(c):
-        c += 2
-    return c
-
-
 def _gap_segments(bound: int,
                   cfg: Config | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (starts, gaps) arrays covering every prime start p <= bound."""
@@ -92,7 +81,7 @@ def _gap_segments(bound: int,
             yield arr[:-1], np.diff(arr)
         carry = int(arr[-1])
     if carry is not None:
-        nxt = _next_prime_after(carry)
+        nxt = _first_prime_in(carry + 1, 2 * carry)  # Bertrand's postulate
         yield (np.array([carry], dtype=np.int64),
                np.array([nxt - carry], dtype=np.int64))
 
@@ -286,7 +275,7 @@ class _GapHunt(Kernel):
         # the trailing prime's gap may close just past the bound
         last = state.last
         if state.hit is None and last is not None and \
-                _next_prime_after(last) - last == self.gap:
+                _first_prime_in(last + 1, 2 * last) - last == self.gap:
             state = state._replace(hit=last)
         return state
 

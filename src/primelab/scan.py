@@ -1,10 +1,10 @@
 """The segmented scan driver: chunks, shards, checkpoints and resume.
 
 scan() runs a Kernel over [lo, hi) in chunks of max(stride, span)
-integers, each split into shards that walk their segments serially
-(sieve.Walk).  Shard states merge in range order; the state is
-checkpointed after every chunk.  After Oliveira e Silva, Herzog and
-Pardi, Math. Comp. 83 (2014).
+integers, each split into 4 shards per thread (one on a single thread)
+that walk their segments serially (sieve.Walk).  Shard states merge
+exactly, in range order; the state is checkpointed after every chunk.
+After Oliveira e Silva, Herzog and Pardi, Math. Comp. 83 (2014).
 """
 from __future__ import annotations
 
@@ -47,12 +47,10 @@ class Kernel:
     hi, bits), the state of one segment (bits as sieve.Walk yields it);
     merge(acc, part), acc's range followed by part's; dump(state), a
     checkpoint payload; and load(payload, range_done), its inverse.  An
-    exact (integer) merge lets chunks split by the thread count;
-    otherwise shards are a fixed number of segments.
+    exact (integer) merge makes results independent of the split.
     """
 
     reach = 0
-    exact = True
 
     def done(self, state) -> bool:
         """True once merge(state, x) is state for every x; the scan stops."""
@@ -100,10 +98,7 @@ def scan(lo: int, hi: int, kernel: Kernel, cfg: Config,
     chunk -= chunk % 2
     while pos < hi and not kernel.done(state):
         nxt = min(pos + chunk, hi)
-        if kernel.exact:
-            parts = cfg.threads * 4 if cfg.threads > 1 else 1
-        else:
-            parts = -(-(nxt - pos) // (8 * walk.span))
+        parts = cfg.threads * 4 if cfg.threads > 1 else 1
         shards = split_range(pos, nxt, parts)
         for part in run_sharded(worker, shards, cfg.threads):
             state = kernel.merge(state, part)

@@ -92,6 +92,26 @@ def test_brun_partial_pair_counts(capsys):
     assert [l.split(",")[2] for l in lines[1:]] == ["35", "205", "1224"]
 
 
+def test_brun_extrapolate_rejects_bad_sum(capsys):
+    for bad in ("nan", "inf", "-1", "-0.5"):
+        assert main(["brun", "extrapolate", f"--sum={bad}",
+                     "--limit", "1e6"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_brun_extrapolate_matches_table(capsys):
+    # the printed raw sum extrapolates to the table's extrapolated column
+    code, out = run(capsys, "brun", "table", "--limit", "1e6",
+                    "--checkpoints", "1e3,36333,1e5,245275,1e6")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()[1:]]
+    assert len(rows) == 5
+    for limit, raw, ext, *_ in rows:
+        code, out = run(capsys, "brun", "extrapolate", "--sum", raw,
+                        "--limit", limit)
+        assert (code, out) == (0, ext + "\n")
+
+
 def test_report_subcommand(capsys):
     code, out = run(capsys, "report", "paper-tables", "--limit", "1e4")
     assert code == 0

@@ -6,10 +6,6 @@ the stdout of `scripts/twin_census_extended.py` and `scripts/brun_longrun.py`
 (their stderr carries a timing line and is not compared). Any change to
 the bytes a user gets shows up here.
 
-Brun sums are accumulated in `np.longdouble`, whose width depends on the
-platform. The file was recorded with the 80-bit x87 format, so the entries
-that carry Brun digits are compared only there.
-
 Re-record (only when an output change is intended, and say why):
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
@@ -20,7 +16,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from primelab.cli import main
@@ -80,14 +75,6 @@ OUT_KEY = "census pairs --limit 1e5 --checkpoints 1e4,1e5 --out FILE"
 SCRIPT_KEYS = ["scripts/twin_census_extended.py --limit 1e5",
                "scripts/brun_longrun.py --limit 1e5"]
 
-LONGDOUBLE_80 = np.finfo(np.longdouble).nmant == 63
-
-
-def _carries_brun_digits(key: str) -> bool:
-    return key.startswith(("brun ", "report paper-tables",
-                           "scripts/brun_longrun.py"))
-
-
 def run_cli(key: str, out_dir: Path) -> dict:
     """Run one case in process; return its status, stdout and --out file."""
     out_file = out_dir / "out.txt"
@@ -131,14 +118,11 @@ def test_golden_file_covers_every_case(golden):
 
 @pytest.mark.parametrize("key", CLI_KEYS + [OUT_KEY] + SCRIPT_KEYS)
 def test_output_byte_identical(key, golden, tmp_path):
-    if _carries_brun_digits(key) and not LONGDOUBLE_80:
-        pytest.skip("Brun digits recorded with 80-bit long double")
     assert run_case(key, tmp_path) == golden[key]
 
 
 def _record() -> None:
     import tempfile
-    assert LONGDOUBLE_80, "record on a platform with 80-bit long double"
     doc = {}
     with tempfile.TemporaryDirectory() as tmp:
         for key in CLI_KEYS + [OUT_KEY] + SCRIPT_KEYS:

@@ -291,11 +291,10 @@ def test_quad_constant_p0_self_consistency():
 
 def test_paper_report_evaluates_pair_series_at_most_three_times(monkeypatch):
     # the "alpha" and "2 alpha" rows, and one cached 25-digit alpha read
-    # by every float and long-double use (predictions, bounds, Brun,
-    # Goldbach, records)
-    from primelab import brun, constants, reports
+    # by every float use and the Brun extrapolation (predictions, bounds,
+    # Brun, Goldbach, records)
+    from primelab import constants, reports
     constants._alpha25.cache_clear()
-    brun._alpha_longdouble.cache_clear()
     calls = []
     real = constants._pattern_raw_mpf
 

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import primelab.scan as scan_mod
-from primelab.brun import brun_partial, format_longdouble
+from fractions import Fraction
+
+from primelab.brun import brun_partial, format_sum
 from primelab.census import count_pairs_2k
 from primelab.config import Config
 from primelab.errors import CheckpointError
@@ -34,7 +36,7 @@ def _brun(path, threads=1):
     rows = brun_partial(2 * 10**5, MARKS,
                         cfg=Config(segment_bytes=1 << 10, threads=threads),
                         checkpoint_path=path, checkpoint_stride=STRIDE)
-    return [(r.limit, format_longdouble(r.sum), r.pair_count) for r in rows]
+    return [(r.limit, r.sum, format_sum(r.sum), r.pair_count) for r in rows]
 
 
 def _hunt(path, threads=1):
@@ -66,7 +68,7 @@ class Crash(Exception):
 def test_interrupt_at_any_chunk_then_resume(job, at, written, tmp_path,
                                             monkeypatch):
     run = JOBS[job]
-    fresh = run(None)  # same stride, so Brun's digits must match exactly
+    fresh = run(None)
     orig = scan_mod.write_checkpoint
     writes = []
 
@@ -143,12 +145,20 @@ def test_old_checkpoint_lines_resume(name, tmp_path):
     run = JOBS[name.removesuffix("_found")]
     path = tmp_path / "old.jsonl"
     path.write_text(OLD_LINES[name] + "\n")
-    assert run(str(path)) == run(None)
+    got, want = run(str(path)), run(None)
+    if name != "brun":
+        assert got == want
+        return
+    # the old long-double sums convert with an error below 2**-56
+    assert [(l, c) for l, _, _, c in got] == [(l, c) for l, _, _, c in want]
+    for (_, a, _, _), (_, b, _, _) in zip(got, want):
+        assert abs(a - b) < Fraction(1, 2**56)
 
 
 @pytest.mark.parametrize("name, payload", [
     ("census", {"marks": MARKS}),
     ("brun", {"sum": "1.5", "comp": "0", "pairs": "x", "rows": []}),
+    ("brun", {"marks": MARKS, "pairs": ["1", "2", "3"], "sums": ["x"]}),
     ("hunt", {"found": "p"}),
 ])
 def test_malformed_payload_is_checkpoint_error(name, payload, tmp_path):
@@ -172,3 +182,22 @@ def test_traced_layers_resolve():
             mod = importlib.import_module(f"primelab.{layer}")
             for name in names:
                 assert callable(getattr(mod, name, None)), f"{layer}.{name}"
+
+
+def test_every_kernel_shards_by_threads(monkeypatch):
+    # a chunk splits into 4 shards per thread, Brun's as the census's
+    shards = []
+    real = scan_mod.run_sharded
+
+    def spy(worker, parts, threads):
+        shards.append(len(parts))
+        return real(worker, parts, threads)
+
+    monkeypatch.setattr(scan_mod, "run_sharded", spy)
+    cfg = Config(segment_bytes=1 << 10, threads=2)
+    span = 2 * cfg.segment_odds
+    brun_partial(4 * span, cfg=cfg, checkpoint_stride=span)
+    brun, shards[:] = shards[:], []
+    count_pairs_2k(1, 4 * span, cfg=cfg, checkpoint_stride=span)
+    assert brun == shards
+    assert brun[0] == 8
