@@ -7,8 +7,9 @@ Two published targets are wired in as presets:
   --preset 1132   gap 1132 (1131 composites) near 1.69e15
 
 Both are far beyond desk scale. On one core of a 2-core x86-64 VM the
-scan costs about 7 ns per integer near 1e13 and 14 ns near 1e15, so
-preset 778 takes about four days and preset 1132 about eight months.
+scan costs about 4 to 5 ns per integer between 5e12 and 4e13 and about
+9 ns near 1e15, so preset 778 takes about two and a half days and
+preset 1132 about five and a half months.
 The point of this script is that the search is checkpointed, so it can
 be stopped and resumed indefinitely and still land on the same answer.
 For a desk-scale demonstration try:

@@ -149,13 +149,17 @@ def brun_partial(limit: int, checkpoints: Sequence[int] | None = None, *,
                  checkpoint_path=None,
                  checkpoint_stride: int = 1 << 28) -> list[BrunRow]:
     """Exact fixed-point sums at each mark (default: the limit); limit + 2
-    < 2**62, the domain of the int64 limbs."""
+    < 2**62, the domain of the int64 limbs.
+
+    The scan stops at the largest mark; the checkpoint's task id still
+    names the limit, so a file from a scan to the limit resumes here.
+    """
     if not 5 <= limit < (1 << 62) - 2:
         raise ValueError("need limit >= 5 and limit + 2 < 2**62")
     cfg = (cfg or Config()).validate()
     marks = normalize_marks(limit, checkpoints)
-    state = scan(2, limit + 1, _BrunSum(limit, marks), cfg, checkpoint_path,
-                 checkpoint_stride)
+    state = scan(2, marks[-1] + 1, _BrunSum(limit, marks), cfg,
+                 checkpoint_path, checkpoint_stride)
     return [BrunRow(m, Fraction(int(n), 2**SCALE_BITS), int(c))
             for m, c, n in zip(marks, *state)]
 

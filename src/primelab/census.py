@@ -164,7 +164,9 @@ def count_pattern(pattern, limit: int, checkpoints=None, *,
     """Census of an admissible pattern up to limit, counts at each checkpoint.
 
     With checkpoint_path, progress is persisted every checkpoint_stride of
-    range and the call resumes from the file's last state.
+    range and the call resumes from the file's last state.  The scan stops
+    at the largest checkpoint; the task id still names the limit, so a
+    file from a scan to the limit resumes here.
     """
     pat = Pattern.coerce(pattern)
     if not admissible(pat):
@@ -175,7 +177,7 @@ def count_pattern(pattern, limit: int, checkpoints=None, *,
         raise ValueError("limit must be at least 2")
     cfg = (cfg or Config()).validate()
     marks = normalize_marks(limit, checkpoints)
-    totals = scan(2, limit + 1, _PatternCensus(pat, limit, marks), cfg,
+    totals = scan(2, marks[-1] + 1, _PatternCensus(pat, limit, marks), cfg,
                   checkpoint_path, checkpoint_stride)
     if pat.k == 1:
         # p = 2 is prime; every multi-offset pattern puts an even number at 2+o
@@ -293,7 +295,9 @@ def _class_hits(first: np.ndarray, mods: np.ndarray, m0: int, n: int):
 
     A modulus below max(64, n // 64) comes alone, as (slice, p); the
     larger ones come together as (offsets, moduli) arrays, one pass per
-    hit, as in sieve.fill_segment.
+    hit, compressed after every pass.  This is the split of
+    sieve.fill_segment's medium and large tiers, without its cache
+    blocks or its in-place passes over a prefix of the moduli.
     """
     starts = np.remainder(first - m0, mods)
     np.maximum(starts, first - m0, out=starts)

@@ -10,8 +10,19 @@ import json
 import os
 from dataclasses import dataclass, replace
 
-# 4 MiB segments.  The size was not chosen by benchmark: in one measurement
-# 1 MiB segments ran faster at 1e8 and at 2e9 (ROADMAP, bucket sieve item).
+# 4 MiB segments, kept after a sweep of the segment walk's cost on one
+# core, in ns per integer (median of 9 interleaved runs; 2-core x86-64 VM
+# with 2 MiB of L2 cache per core, Python 3.11, numpy 2.4):
+#
+#   segment   2 .. 1e8   1e12 + 2**26   1e14 + 2**25
+#   1 MiB       1.52         3.34           8.37
+#   2 MiB       1.44         3.59           6.57
+#   4 MiB       1.48         4.34           6.32
+#   8 MiB       1.44         6.01           8.48
+#
+# No size wins at every height.  4 MiB is fastest at 1e14, where the long
+# gap hunts run; it is within 3% of the best at 1e8 and 30% behind 1 MiB
+# at 1e12.
 DEFAULT_SEGMENT_BYTES = 1 << 22
 
 ENV_THREADS = "PRIMELAB_THREADS"

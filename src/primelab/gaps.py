@@ -36,6 +36,13 @@ __all__ = [
 
 _KINDS = ("first_occurrence", "maximal")
 
+# _GapHunt reads only the long composite runs for gaps from this size
+# on.  Below it most blocks of g // 4 odds are empty, so listing their
+# runs costs more than listing every prime: at 1e12, a 4M-odd segment
+# took 15-21 ms by blocks against 12-13 ms directly for g from 8 to 40,
+# and 4 ms against 12 ms at g = 100.
+BLOCK_SCAN_GAP = 64
+
 
 @dataclass(frozen=True)
 class GapRecord:
@@ -66,6 +73,31 @@ class IntervalCount(NamedTuple):
     count: int
     expected: float
     ratio: float
+
+
+def _last_true(flags: np.ndarray) -> int | None:
+    """Index of the last True in flags (None if none), read from the end
+    in growing chunks rather than by a reversed copy of the whole array."""
+    end, size = len(flags), 256
+    while end > 0:
+        start = max(0, end - size)
+        found = np.flatnonzero(flags[start:end])
+        if len(found):
+            return start + int(found[-1])
+        end, size = start, 2 * size
+    return None
+
+
+def _block_any(blocks: np.ndarray) -> np.ndarray:
+    """blocks.any(axis=1) for a power-of-two row width, by pairwise ORs
+    along the flat array: one vector op per halving, not one per row."""
+    nb, width = blocks.shape
+    flat = blocks.reshape(-1)
+    if width >= 8:
+        flat, width = flat.view(np.uint64) != 0, width // 8
+    while width > 1:
+        flat, width = flat[0::2] | flat[1::2], width // 2
+    return flat
 
 
 def _gap_segments(bound: int,
@@ -253,6 +285,41 @@ class _GapHunt(Kernel):
         return _GapState(None, None, None)
 
     def segment(self, lo: int, hi: int, bits: np.ndarray) -> _GapState:
+        if self.gap < BLOCK_SCAN_GAP or lo == 2:
+            return self._direct(lo, hi, bits)
+        # a gap g leaves g/2 - 1 >= 2 * width - 1 composite odds between
+        # its primes, so they cover an aligned all-composite block
+        width = 1 << ((self.gap // 4).bit_length() - 1)
+        nb = len(bits) // width
+        blocks = bits[:nb * width].reshape(nb, width)
+        busy = _block_any(blocks)
+        last = _last_true(busy)
+        if last is None:
+            return self._direct(lo, hi, bits)
+        first = int(np.argmax(busy))
+        first = first * width + int(np.argmax(blocks[first]))
+        # up to the last prime in whole blocks, each run of k empty blocks
+        # lies between a prime in the block before it and one in the block
+        # after it, so it can hold a gap of g/2 odds only if
+        # k * width < g/2 < (k + 2) * width
+        edges = np.diff(busy[:last + 1].view(np.int8))
+        r0 = np.flatnonzero(edges == -1) + 1
+        r1 = np.flatnonzero(edges == 1) + 1
+        r1 = r1[len(r1) - len(r0):]  # a run at block 0 starts before lo
+        half, k = self.gap // 2, r1 - r0
+        fits = (k * width < half) & (half < (k + 2) * width)
+        r0, r1 = r0[fits], r1[fits]
+        prev = r0 * width - 1 - np.argmax(blocks[r0 - 1, ::-1], axis=1)
+        nxt = r1 * width + np.argmax(blocks[r1], axis=1)
+        hit = np.flatnonzero(nxt - prev == half)
+        # from that last prime on, the primes are read directly
+        q = last * width + _last_true(blocks[last])
+        tail = self._direct(lo + 2 * q, hi, bits[q:])
+        return _GapState(lo + 1 + 2 * first, tail.last,
+                         lo + 1 + 2 * int(prev[hit[0]]) if len(hit)
+                         else tail.hit)
+
+    def _direct(self, lo: int, hi: int, bits: np.ndarray) -> _GapState:
         ps = PrimeSegment(lo, hi, bits).values()
         if not len(ps):
             return self.empty()

@@ -66,7 +66,8 @@ def scan(lo: int, hi: int, kernel: Kernel, cfg: Config,
     """Run kernel over [lo, hi), lo even, and return its final state.
 
     With checkpoint_path the state is saved after every chunk, and a run
-    that finds the file resumes from its last state.
+    that finds the file resumes from its last state; a state saved at or
+    past hi is returned as it is.
     """
     state, pos = kernel.empty(), lo
     if checkpoint_path is not None:

@@ -3,13 +3,20 @@
 The segment layout is odds-only: bit i of a segment starting at even lo
 corresponds to the odd number lo + 1 + 2i.  Stepping an odd prime p
 through consecutive odd multiples advances the value by 2p, which is a
-stride of exactly p in index space.  Base primes below a threshold set
-by the segment's length cross off with one numpy slice assignment each;
-the larger ones hit the segment only a few times each, so they cross off
-together, one vectorised pass per hit (after Oliveira e Silva, Herzog
-and Pardi, Math. Comp. 83 (2014), who treat large sieving primes apart
-from small ones).  The prime 2 never appears in a bit array; iterators
-inject it when a range covers it.
+stride of exactly p in index space.  fill_segment sieves base primes in
+three tiers, after Oliveira e Silva, Herzog and Pardi, Math. Comp. 83
+(2014), who sieve small, medium and large primes by separate methods:
+
+- small primes (below BLOCK // 64) cross off with one numpy slice per
+  prime and per cache block of BLOCK odds, so each block stays in cache
+  while every small prime passes over it;
+- medium primes (below max(64, n // 64) for a segment of n odds) hit
+  the segment at least 64 times, and cross off with one slice each;
+- large primes hit it fewer than 64 times each, so they cross off
+  together, one vectorised pass per hit.
+
+The prime 2 never appears in a bit array; iterators inject it when a
+range covers it.
 
 The kernel computes in int64.  Every value it forms stays below hi plus
 the largest base prime it uses, so a window [lo, hi) is accepted only
@@ -44,6 +51,15 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
 INT64_BOUND = 1 << 63
 
 _TRIAL_LIMIT = 10**4
+
+# fill_segment's cache block, in odds: 1 MiB of flags, which fits a
+# core's L2 cache beside the base primes.  Primes below BLOCK // 64 hit a
+# block at least 64 times and are crossed off block by block.
+BLOCK = 1 << 20
+
+# The slice loops assign this 0-d array, not the scalar False: numpy then
+# skips converting a Python scalar, which halves the cost of a short slice.
+_FALSE = np.zeros((), dtype=bool)
 
 
 def _odd_count(lo: int, hi: int) -> int:
@@ -134,22 +150,30 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
     is then a view into it, valid until the next fill.
 
     Each odd base prime p crosses off its odd multiples from max(p*p,
-    lo + 1) on.  Primes below max(64, n // 64), for a segment of n odds,
-    hit it about n / p >= 64 times and cross off with one slice each.
-    The rest cross off together: every pass clears one multiple of each
-    remaining prime, then drops the primes that have left the segment.
+    lo + 1) on, by one of three methods for a segment of n odds:
+
+    - p < BLOCK // 64 (and below the next cut-off): one slice per prime
+      and per cache-sized block of BLOCK odds, block by block;
+    - p < max(64, n // 64): one slice per prime over the whole segment;
+    - larger p hit the segment fewer than 64 times each, and cross off
+      together, one vectorised pass per hit (_cross_large).
     """
     if lo % 2 != 0 or lo < 2:
         raise ValueError("segment lo must be even and >= 2")
     check_window(hi)
     n = _odd_count(lo, hi)
-    if out is None:
-        bits = np.ones(n, dtype=bool)
+    if out is not None and len(out) < n:
+        raise ValueError("out is shorter than the segment")
+    # a spare slot at index n takes the large primes' misses; an out
+    # with no room for it gets the bits copied in at the end
+    if out is not None and len(out) > n:
+        buf = out[:n + 1]
     else:
-        bits = out[:n]
-        bits[:] = True
+        buf = np.empty(n + 1, dtype=bool)
+    bits = buf[:n]
+    bits[:] = True
     if n == 0:
-        return bits
+        return bits if out is None else out[:0]
     top = isqrt(hi - 1)
     ps = base_primes[np.searchsorted(base_primes, 3):
                      np.searchsorted(base_primes, top, side="right")]
@@ -168,20 +192,56 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
     tail = ps[j:]
     np.maximum(starts[j:], (tail * tail - (lo + 1)) >> 1, out=starts[j:])
     split = int(np.searchsorted(ps, max(64, n // 64)))
-    for i, p in zip(starts[:split].tolist(), ps[:split].tolist()):
+    blocked = int(np.searchsorted(ps[:split], BLOCK // 64))
+    bs, bp = starts[:blocked], ps[:blocked]
+    for b0 in range(0, n, BLOCK):
+        b1 = min(b0 + BLOCK, n)
+        for i, p in zip(bs.tolist(), bp.tolist()):
+            if i < b1:
+                bits[i:b1:p] = _FALSE
+        # each prime's first multiple at or past b1
+        bs = np.maximum(bs, b1 + np.remainder(bs - b1, bp))
+    for i, p in zip(starts[blocked:split].tolist(), ps[blocked:split].tolist()):
         if i < n:
-            bits[i::p] = False
-    keep = starts[split:] < n
-    bi = starts[split:][keep]
-    bp = ps[split:][keep]
-    del starts, keep
+            bits[i::p] = _FALSE
+    _cross_large(buf, n, starts[split:], ps[split:], max(0, j - split))
+    if out is not None and len(out) == n:
+        out[:] = bits
+        return out
+    return bits
+
+
+def _cross_large(buf: np.ndarray, n: int, starts: np.ndarray,
+                 ps: np.ndarray, m: int) -> None:
+    """Cross off primes that hit buf[:n] fewer than 64 times each.
+
+    starts is each prime's first index; buf[n] is a spare slot.  The
+    first m primes have p*p <= lo, so they start below p, and pass k
+    hits index starts + k*p: surely below n once (k + 1) * p <= n, and
+    surely not once k * p >= n.  Pass k therefore runs over the prefix
+    of primes with k * p < n (one searchsorted for every pass), in
+    place, and sends a multiple past the segment to the spare slot.  The
+    rest, whose first hit may lie anywhere, drop out as they leave.
+    """
+    if m:
+        bi, bp = starts[:m], ps[:m]
+        np.minimum(bi, n, out=bi)
+        passes = np.arange(1, n // int(bp[0]) + 1)
+        cuts = [m] + np.searchsorted(bp, (n - 1) // passes,
+                                     side="right").tolist() + [0]
+        for e, e_next in zip(cuts, cuts[1:]):
+            buf[bi[:e]] = False
+            sub = bi[:e_next]  # only the primes the next pass reads
+            sub += bp[:e_next]
+            np.minimum(sub, n, out=sub)
+    keep = starts[m:] < n
+    bi, bp = starts[m:][keep], ps[m:][keep]
     while len(bi):
-        bits[bi] = False
+        buf[bi] = False
         bi += bp
         keep = bi < n
         bi = bi[keep]
         bp = bp[keep]
-    return bits
 
 
 class Walk:

@@ -37,6 +37,20 @@ def naive_sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+def naive_window(a: int, b: int, base: list[int]) -> list[int]:
+    """Primes in [a, b), crossed off a bytearray by the primes in base,
+    which must hold every prime <= isqrt(b - 1)."""
+    flags = bytearray([1]) * (b - a)
+    for n in range(a, min(b, 2)):
+        flags[n - a] = 0
+    for p in base:
+        if p * p >= b:
+            break
+        first = max(p * p, -(-a // p) * p)
+        flags[first - a::p] = bytearray(len(range(first - a, b - a, p)))
+    return [a + i for i, f in enumerate(flags) if f]
+
+
 def naive_is_prime(n: int) -> bool:
     """Trial division."""
     if n < 2:

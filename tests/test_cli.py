@@ -25,6 +25,14 @@ def test_census_pairs_table_ending(capsys):
     assert out.splitlines()[-1] == "1000000,8169"
 
 
+def test_brun_partial_low_mark_output(capsys):
+    # the scan stops at the mark, and the row is the one it always was
+    code, out = run(capsys, "brun", "partial", "--limit", "1e8",
+                    "--checkpoints", "1e3")
+    assert code == 0
+    assert out == "limit,sum,pair_count\n1000,1.5180324635595909886,35\n"
+
+
 def test_constants_twin_digits(capsys):
     code, out = run(capsys, "constants", "twin", "--digits", "10")
     assert code == 0

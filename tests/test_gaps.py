@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import primelab.sieve as sieve_mod
 from primelab.config import Config
@@ -17,7 +20,7 @@ from primelab.gaps import (
     short_interval_above_square,
 )
 
-from conftest import naive_sieve
+from conftest import naive_sieve, naive_window
 
 
 def oracle_walk(limit):
@@ -168,3 +171,62 @@ def test_hunt_gap_resume(tmp_path, walk_1e5):
     rec2 = hunt_gap(52, 10**5, checkpoint_path=path,
                     checkpoint_stride=1 << 12)  # resume of a finished task
     assert rec1.p == rec2.p == firsts[52]
+
+
+@pytest.fixture(scope="module")
+def base_1e12():
+    """Primes up to the root of every window the hunt test sieves."""
+    return naive_sieve(isqrt(10**12 + 2**24) + 1)
+
+
+def oracle_hunt(gap, start, stop, base):
+    """First prime p in [start, stop] whose successor is p + gap."""
+    ps = naive_window(start, stop + 1, base)
+    after = naive_window(stop + 1, stop + 2001, base)
+    assert after, "no prime within 2000 past the stop"
+    for p, q in zip(ps, ps[1:] + after[:1]):
+        if q - p == gap:
+            return p
+    return None
+
+
+# where a segment boundary goes, relative to a gap p < q near the height:
+# the composite run's first or last odd opens or closes a segment, or p
+# opens one, or q closes one
+_BOUNDARY = {"run_first": lambda p, q: p + 1, "run_last": lambda p, q: q - 1,
+             "prime_first": lambda p, q: p - 1, "prime_last": lambda p, q: q + 1}
+
+
+@settings(max_examples=40)
+@given(lo=st.integers(10**6, 10**12),
+       gap=st.sampled_from([2, 4, 6, 8, 30, 100, 250, 400]),
+       log_bytes=st.integers(10, 22),
+       anchor=st.sampled_from([None, *_BOUNDARY]),
+       before=st.booleans(), width=st.integers(1, 2 * 10**5))
+# a segment opens with the composite run of the widest gap near 1e9 (152)
+@example(lo=10**9, gap=400, log_bytes=10, anchor="run_first", before=True,
+         width=5000)
+@example(lo=10**12, gap=100, log_bytes=22, anchor="run_last", before=True,
+         width=1000)
+@example(lo=2, gap=100, log_bytes=10, anchor=None, before=False,
+         width=4 * 10**5)  # the segment at 2, then 1 KiB segments
+@example(lo=2, gap=6, log_bytes=10, anchor=None, before=False, width=100)
+def test_hunt_gap_matches_oracle(base_1e12, lo, gap, log_bytes, anchor,
+                                 before, width):
+    span = 2 << log_bytes  # integers per segment
+    start = lo
+    stop = start + width
+    if anchor is not None:
+        # the first gap of this size near lo, else the widest there, is
+        # the one hunted, with a segment boundary at one of its ends
+        near = naive_window(lo, lo + 20000, base_1e12)
+        pairs = list(zip(near, near[1:]))
+        p, q = next(((p, q) for p, q in pairs if q - p == gap),
+                    max(pairs, key=lambda pq: pq[1] - pq[0]))
+        gap, edge = q - p, _BOUNDARY[anchor](p, q)
+        start = edge - span if before and edge - span >= 2 else edge
+        stop = q + width
+    want = oracle_hunt(gap, start, stop, base_1e12)
+    rec = hunt_gap(gap, stop, start=start,
+                   cfg=Config(segment_bytes=1 << log_bytes))
+    assert (rec and rec.p) == want

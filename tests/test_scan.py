@@ -14,13 +14,14 @@ import pytest
 import primelab.scan as scan_mod
 from fractions import Fraction
 
-from primelab.brun import brun_partial, format_sum
-from primelab.census import count_pairs_2k
+from primelab.brun import _BrunSum, brun_partial, format_sum
+from primelab.census import Pattern, _PatternCensus, count_pairs_2k
+from primelab.checkpoint import read_history, read_latest
 from primelab.config import Config
 from primelab.errors import CheckpointError
 from primelab.gaps import hunt_gap
 
-from conftest import naive_sieve
+from conftest import naive_sieve, naive_window
 
 MARKS = [10**3, 5 * 10**4, 2 * 10**5]
 STRIDE = 1 << 14  # 13 chunks below 2e5
@@ -107,6 +108,14 @@ def test_hunt_gap_thread_invariance():
         firsts.setdefault(b - a, a)
     gaps = (1, 2, 36, 72, 86, 778)
     want = [firsts.get(g) for g in gaps] + [31397]
+    # and above 1e9, where the hunt reads only the long composite runs
+    high = naive_window(10**9, 10**9 + 2 * 10**5 + 2000, naive_sieve(31700))
+    high_firsts = {}
+    for a, b in zip(high, high[1:]):
+        if a <= 10**9 + 2 * 10**5:
+            high_firsts.setdefault(b - a, a)
+    high_gaps = (2, 64, 100, 132, 200)
+    want += [high_firsts.get(g) for g in high_gaps]
     interval = sys.getswitchinterval()
     # 8 threads on short switches: shards that stop early must never
     # hide an earlier hit
@@ -117,6 +126,8 @@ def test_hunt_gap_thread_invariance():
             got = [hunt_gap(g, 2 * 10**5, cfg=cfg, checkpoint_stride=STRIDE)
                    for g in gaps]
             got.append(hunt_gap(72, 10**5, start=31000, cfg=cfg))
+            got += [hunt_gap(g, 10**9 + 2 * 10**5, start=10**9, cfg=cfg,
+                             checkpoint_stride=STRIDE) for g in high_gaps]
             assert [r and r.p for r in got] == want
     finally:
         sys.setswitchinterval(interval)
@@ -201,3 +212,39 @@ def test_every_kernel_shards_by_threads(monkeypatch):
     count_pairs_2k(1, 4 * span, cfg=cfg, checkpoint_stride=span)
     assert brun == shards
     assert brun[0] == 8
+
+
+LOW_MARKS = MARKS[:2]  # every mark far below the limit of 2e5
+
+
+def _low(job, path):
+    cfg = Config(segment_bytes=1 << 10)
+    if job == "census":
+        return count_pairs_2k(1, 2 * 10**5, LOW_MARKS, cfg=cfg,
+                              checkpoint_path=path,
+                              checkpoint_stride=STRIDE).rows
+    return brun_partial(2 * 10**5, LOW_MARKS, cfg=cfg, checkpoint_path=path,
+                        checkpoint_stride=STRIDE)
+
+
+@pytest.mark.parametrize("job", ["census", "brun"])
+def test_scan_ends_at_the_last_mark(job, tmp_path):
+    fresh = _low(job, None)
+    assert [r[0] for r in fresh] == LOW_MARKS
+    short = str(tmp_path / "short.jsonl")
+    assert _low(job, short) == fresh
+    cp = read_latest(short)
+    assert cp.range_done == LOW_MARKS[-1] + 1
+    assert cp.task_id == {"census": "pattern(0,2)@200000",
+                          "brun": "brun@200000"}[job]
+    assert _low(job, short) == fresh  # the shorter file resumes
+    # a file that earlier releases wrote, scanned on to the limit + 1
+    whole = str(tmp_path / "whole.jsonl")
+    kernel = (_PatternCensus(Pattern((0, 2)), 2 * 10**5, tuple(LOW_MARKS))
+              if job == "census" else _BrunSum(2 * 10**5, tuple(LOW_MARKS)))
+    scan_mod.scan(2, 2 * 10**5 + 1, kernel, Config(segment_bytes=1 << 10),
+                  whole, STRIDE)
+    assert read_latest(whole).range_done == 2 * 10**5 + 1
+    lines = len(read_history(whole))
+    assert _low(job, whole) == fresh
+    assert len(read_history(whole)) == lines  # nothing left to scan

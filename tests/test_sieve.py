@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from primelab.config import Config
 from primelab.sieve import (
     _MR_PSI,
+    BLOCK,
     INT64_BOUND,
     _odd_count,
     check_window,
@@ -138,6 +139,26 @@ _width = st.integers(0, 22).flatmap(
          reuse=False, seed=5)
 @example(lo=HIGHEST_LO, n=FULL_SEGMENT_ODDS, reuse=False, seed=3)
 @example(lo=HIGHEST_LO - 2, n=1, reuse=False, seed=4)
+# three cache blocks and a partial fourth, into an out exactly n long
+@example(lo=10**11, n=3 * BLOCK + 12345, reuse=True, seed=70)
+# the last odd's least factor is the last prime blocked (16381), the
+# first one sliced over the whole segment (16411), and the last one
+# sliced (65521); 16381's out is longer than n, 65521's exactly n long
+@example(lo=16381 * 61046341 + 1 - 2 * FULL_SEGMENT_ODDS, n=FULL_SEGMENT_ODDS,
+         reuse=True, seed=6)
+@example(lo=16411 * 60934759 + 1 - 2 * FULL_SEGMENT_ODDS, n=FULL_SEGMENT_ODDS,
+         reuse=False, seed=8)
+@example(lo=65521 * 15262283 + 1 - 2 * FULL_SEGMENT_ODDS, n=FULL_SEGMENT_ODDS,
+         reuse=True, seed=63)
+# the last odd, 100003 * 10000019, is the large prime 100003's 21st hit:
+# n - 1 = 20 * 100003, so the cut-off of pass 20, (n - 1) // 20, is that
+# prime itself
+@example(lo=100003 * (10000019 - 40) - 1, n=20 * 100003 + 1, reuse=True,
+         seed=9)
+# large primes on both sides of isqrt(lo) = 65598: nine from 65537 have
+# p*p <= lo, and the squares of 65599 .. 65657 (eight primes) lie inside
+# the window
+@example(lo=65599**2 - 1 - 2 * 1000, n=FULL_SEGMENT_ODDS, reuse=False, seed=7)
 def test_fill_segment_bit_identical_to_slice_loop(base_1e15, lo, n, reuse,
                                                    seed):
     hi = lo + 2 * n
@@ -154,6 +175,13 @@ def test_fill_segment_bit_identical_to_slice_loop(base_1e15, lo, n, reuse,
     rnd = random.Random(seed)
     for i in {0, n - 1, *(rnd.randrange(n) for _ in range(8))}:
         assert bool(got[i]) == sympy.isprime(lo + 1 + 2 * i), lo + 1 + 2 * i
+
+
+def test_fill_segment_rejects_short_out():
+    base = small_primes(20)
+    assert len(fill_segment(100, 200, base, out=np.empty(50, bool))) == 50
+    with pytest.raises(ValueError, match="shorter"):
+        fill_segment(100, 200, base, out=np.empty(49, bool))
 
 
 def test_fill_segment_rejects_windows_past_int64():
