@@ -1,8 +1,9 @@
 """Prime gap scans: records, first occurrences, and interval densities.
 
-The scanner walks consecutive primes segment by segment, carrying the last
-prime of each segment across the boundary, so gap streams are identical
-for any segment size.  A gap belongs to its starting prime p; the
+The gap scans are kernels on scan.scan(): the state of a range carries
+its first and last prime, so the gap across a boundary is credited when
+two ranges merge, and results are identical for any segment size, thread
+count or checkpoint stride.  A gap belongs to its starting prime p; the
 successor is looked up past the scan bound when p is the last prime in
 range.  The unique odd gap 1 (from 2 to 3) is kept for completeness.
 """
@@ -11,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import Config
 from .scan import Kernel, scan
-from .sieve import PrimeSegment, Walk, is_prime_64
+from .sieve import PrimeSegment, Walk, _odd_count, is_prime_64
 
 __all__ = [
     "GapRecord",
@@ -100,45 +101,156 @@ def _block_any(blocks: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _gap_segments(bound: int,
-                  cfg: Config | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (starts, gaps) arrays covering every prime start p <= bound."""
-    carry = None
-    for lo, hi, bits in Walk(bound + 1, cfg or Config()).segments(2, bound + 1):
-        ps = PrimeSegment(lo, hi, bits).values()
-        if len(ps) == 0:
-            continue
-        arr = ps if carry is None else np.concatenate([[carry], ps])
-        if len(arr) >= 2:
-            yield arr[:-1], np.diff(arr)
-        carry = int(arr[-1])
-    if carry is not None:
-        nxt = _first_prime_in(carry + 1, 2 * carry)  # Bertrand's postulate
-        yield (np.array([carry], dtype=np.int64),
-               np.array([nxt - carry], dtype=np.int64))
+class _GapCarry(NamedTuple):
+    first: int | None  # first prime of the range
+    last: int | None  # last prime of the range
+    stats: tuple  # of the gaps between the range's primes
 
 
-def scan_gaps(limit: int, *, cfg: Config | None = None) -> GapScan:
+class _GapKernel(Kernel):
+    """Statistics of the gaps from each prime p <= bound to its successor.
+
+    A range's state carries its first and last prime: merge credits the
+    gap between two ranges to the earlier one's last prime, and finish
+    looks up the successor of the last prime.  Primes above the bound are
+    ignored, so the kernel may run under a walk that goes past it.  A
+    subclass gives NONE, the statistics of no gaps; stats(starts, gaps),
+    those of a gap array; and join(a, b), those of a's gaps then b's.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+
+    def empty(self) -> _GapCarry:
+        return _GapCarry(None, None, self.NONE)
+
+    def segment(self, lo: int, hi: int, bits: np.ndarray) -> _GapCarry:
+        top = min(hi, self.bound + 1)
+        if top <= lo:
+            return self.empty()
+        ps = PrimeSegment(lo, top, bits[:_odd_count(lo, top)]).values()
+        if not len(ps):
+            return self.empty()
+        return _GapCarry(int(ps[0]), int(ps[-1]), self.stats(
+            ps[:-1], np.diff(ps)) if len(ps) > 1 else self.NONE)
+
+    def _then_gap(self, stats: tuple, p: int, q: int) -> tuple:
+        return self.join(stats, self.stats(np.array([p]), np.array([q - p])))
+
+    def merge(self, acc: _GapCarry, part: _GapCarry) -> _GapCarry:
+        if self.done(acc) or part.first is None:
+            return acc
+        if acc.last is None:
+            return part
+        stats = self._then_gap(acc.stats, acc.last, part.first)
+        return _GapCarry(acc.first, part.last, self.join(stats, part.stats))
+
+    def finish(self, state: _GapCarry) -> _GapCarry:
+        last = state.last
+        if self.done(state) or last is None:
+            return state
+        nxt = _first_prime_in(last + 1, 2 * last)  # Bertrand's postulate
+        return state._replace(stats=self._then_gap(state.stats, last, nxt))
+
+
+class _GapTable(NamedTuple):
+    firsts: dict[int, int]  # gap -> its first start p
+    maximal: tuple[tuple[int, int], ...]  # (p, gap), each above all before
+
+
+class _GapStats(_GapKernel):
+    """First occurrences and maximal records.  With wanted, the scan is
+    done once every even gap up to wanted has occurred (missing_gaps)."""
+
+    NONE = _GapTable({}, ())
+
+    def __init__(self, bound: int, wanted: int = 0):
+        super().__init__(bound)
+        self.wanted = range(2, wanted + 1, 2)
+        self.task_id = (f"gap_missing({wanted})@{bound}" if wanted
+                        else f"gap_scan@{bound}")
+
+    def stats(self, starts: np.ndarray, gaps: np.ndarray) -> _GapTable:
+        n = len(gaps)
+        at = np.full(int(gaps.max()) + 1, n)
+        np.minimum.at(at, gaps, np.arange(n))  # a linear pass, no sort
+        seen = np.flatnonzero(at < n)
+        best = np.maximum.accumulate(gaps)
+        rec = np.concatenate(([0], np.flatnonzero(gaps[1:] > best[:-1]) + 1))
+        return _GapTable(dict(zip(seen.tolist(), starts[at[seen]].tolist())),
+                         tuple(zip(starts[rec].tolist(), gaps[rec].tolist())))
+
+    def join(self, a: _GapTable, b: _GapTable) -> _GapTable:
+        top = a.maximal[-1][1] if a.maximal else 0
+        return _GapTable({**b.firsts, **a.firsts},
+                         a.maximal + tuple(r for r in b.maximal if r[1] > top))
+
+    def done(self, state: _GapCarry) -> bool:
+        return bool(self.wanted) and all(g in state.stats.firsts
+                                         for g in self.wanted)
+
+    def dump(self, state: _GapCarry) -> dict:
+        return {"last": None if state.last is None else str(state.last),
+                "firsts": [[g, str(p)] for g, p in state.stats.firsts.items()],
+                "maximal": [[str(p), g] for p, g in state.stats.maximal]}
+
+    def load(self, payload: dict, range_done: int) -> _GapCarry:
+        last = payload["last"]
+        return _GapCarry(None, None if last is None else int(last), _GapTable(
+            {int(g): int(p) for g, p in payload["firsts"]},
+            tuple((int(p), int(g)) for p, g in payload["maximal"])))
+
+
+class _GapExtremes(_GapKernel):
+    """The least and the greatest gap / log(p), each with its earliest
+    witness (p, gap)."""
+
+    NONE = GapExtremes(math.inf, (0, 0), -math.inf, (0, 0))
+
+    def __init__(self, bound: int):
+        super().__init__(bound)
+        self.task_id = f"gap_extremes@{bound}"
+
+    def stats(self, starts: np.ndarray, gaps: np.ndarray) -> GapExtremes:
+        vals = gaps / np.log(starts)
+        i, j = int(np.argmin(vals)), int(np.argmax(vals))
+        return GapExtremes(float(vals[i]), (int(starts[i]), int(gaps[i])),
+                           float(vals[j]), (int(starts[j]), int(gaps[j])))
+
+    def join(self, a: GapExtremes, b: GapExtremes) -> GapExtremes:
+        low = b[:2] if b.min_value < a.min_value else a[:2]
+        high = b[2:] if b.max_value > a.max_value else a[2:]
+        return GapExtremes(*low, *high)
+
+
+def _gap_scan(state: _GapCarry) -> GapScan:
+    return GapScan(dict(sorted(state.stats.firsts.items())),
+                   [GapRecord(p, g, "maximal") for p, g in state.stats.maximal])
+
+
+def _scan_job(limit: int):
+    """scan_gaps' kernel, the end of its walk, and its result."""
+    if limit < 3:
+        raise ValueError("limit must be at least 3")
+    return _GapStats(limit - 1), limit, _gap_scan
+
+
+def _missing(firsts: dict[int, int], max_gap: int) -> list[int]:
+    return [g for g in range(2, max_gap + 1, 2) if g not in firsts]
+
+
+def scan_gaps(limit: int, *, cfg: Config | None = None,
+              checkpoint_path: str | None = None,
+              checkpoint_stride: int = 1 << 30) -> GapScan:
     """First occurrence of each realized gap and all maximal-gap records.
 
     Gap starts p < limit; the final prime's successor is looked up beyond
-    the limit so its gap is still well defined.
+    the limit so its gap is still well defined.  Resumable as hunt_gap is.
     """
-    if limit < 3:
-        raise ValueError("limit must be at least 3")
-    firsts: dict[int, int] = {}
-    maximal: list[GapRecord] = []
-    running = 0
-    for starts, gs in _gap_segments(limit - 1, cfg):
-        for g in sorted(int(v) for v in np.unique(gs)):
-            if g not in firsts:
-                firsts[g] = int(starts[int(np.argmax(gs == g))])
-        if int(gs.max()) > running:
-            prior = np.maximum.accumulate(np.concatenate([[running], gs]))[:-1]
-            for i in np.flatnonzero(gs > prior):
-                maximal.append(GapRecord(int(starts[i]), int(gs[i]), "maximal"))
-            running = int(gs.max())
-    return GapScan(firsts, maximal)
+    kernel, hi, result = _scan_job(limit)
+    cfg = (cfg or Config()).validate()
+    return result(scan(2, hi, kernel, cfg, checkpoint_path,
+                       checkpoint_stride))
 
 
 def first_occurrence(gap: int, limit: int, *,
@@ -158,13 +270,9 @@ def missing_gaps(limit: int, max_gap: int, *,
         raise ValueError("max_gap must be a positive even number")
     if limit < 3:
         raise ValueError("limit must be at least 3")
-    seen: set[int] = set()
-    wanted = set(range(2, max_gap + 1, 2))
-    for _, gs in _gap_segments(limit - 1, cfg):
-        seen.update(int(v) for v in np.unique(gs))
-        if wanted <= seen:
-            break
-    return sorted(wanted - seen)
+    cfg = (cfg or Config()).validate()
+    state = scan(2, limit, _GapStats(limit - 1, max_gap), cfg)
+    return _missing(state.stats.firsts, max_gap)
 
 
 def _integer_root(n: int, k: int) -> int:
@@ -252,20 +360,8 @@ def normalized_gap_extremes(limit: int, *,
     """Extremes of gap / log(p) over prime starts p <= limit, with witnesses."""
     if limit < 11:
         raise ValueError("limit must be at least 11")
-    best_min = math.inf
-    best_max = -math.inf
-    wit_min = wit_max = (0, 0)
-    for starts, gs in _gap_segments(limit, cfg):
-        vals = gs / np.log(starts)
-        i = int(np.argmin(vals))
-        j = int(np.argmax(vals))
-        if vals[i] < best_min:
-            best_min = float(vals[i])
-            wit_min = (int(starts[i]), int(gs[i]))
-        if vals[j] > best_max:
-            best_max = float(vals[j])
-            wit_max = (int(starts[j]), int(gs[j]))
-    return GapExtremes(best_min, wit_min, best_max, wit_max)
+    cfg = (cfg or Config()).validate()
+    return scan(2, limit + 1, _GapExtremes(limit), cfg).stats
 
 
 class _GapState(NamedTuple):

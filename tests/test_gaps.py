@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import primelab.sieve as sieve_mod
-from primelab.config import Config
+from primelab.config import DEFAULT_SEGMENT_BYTES, Config
 from primelab.gaps import (
     _count_primes_interval,
     first_occurrence,
@@ -83,6 +83,46 @@ def test_missing_gaps_vs_direct():
     seen = {b - a for a, b in zip(ps, ps[1:])}
     want = [g for g in range(2, 101, 2) if g not in seen]
     assert missing_gaps(10**6, 100) == want == [94]
+
+
+# the last prime below it, 155921, starts the first gap of 86, a maximal
+# one and the largest gap / log(p), and its successor lies past it
+GAP_LIMIT = 155922
+
+
+@pytest.fixture(scope="module")
+def gaps_oracle():
+    """Every gap (p, q - p) with p <= GAP_LIMIT, from a plain sieve."""
+    ps = naive_sieve(2 * GAP_LIMIT)
+    return [(p, q - p) for p, q in zip(ps, ps[1:]) if p <= GAP_LIMIT]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+# 15700-byte segments end at 31402, inside the maximal gap 31397 -> 31469
+@pytest.mark.parametrize("segment_bytes",
+                         [1 << 10, 15700, 1 << 16, DEFAULT_SEGMENT_BYTES])
+def test_gap_statistics_match_oracle(gaps_oracle, segment_bytes, threads):
+    cfg = Config(segment_bytes=segment_bytes, threads=threads)
+    below = [(p, g) for p, g in gaps_oracle if p < GAP_LIMIT]
+    firsts, records = {}, []
+    for p, g in below:
+        firsts.setdefault(g, p)
+        if not records or g > records[-1][1]:
+            records.append((p, g))
+    scan = scan_gaps(GAP_LIMIT, cfg=cfg)
+    assert scan.first_occurrences == firsts
+    assert [(r.p, r.gap) for r in scan.maximal] == records
+    # 36 stops the scan early: every even gap up to it occurs below 1e4
+    for max_gap in (36, 100):
+        assert missing_gaps(GAP_LIMIT, max_gap, cfg=cfg) == \
+            [g for g in range(2, max_gap + 1, 2) if g not in firsts]
+    vals = [(g / math.log(p), p, g) for p, g in gaps_oracle]
+    low = min(vals, key=lambda v: v[0])  # the first of equal values
+    high = max(vals, key=lambda v: v[0])
+    ex = normalized_gap_extremes(GAP_LIMIT, cfg=cfg)
+    assert (ex.min_witness, ex.max_witness) == (low[1:], high[1:])
+    assert ex.min_value == pytest.approx(low[0], rel=1e-14)
+    assert ex.max_value == pytest.approx(high[0], rel=1e-14)
 
 
 def test_segment_invariance():

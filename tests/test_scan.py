@@ -1,7 +1,8 @@
 """The scan driver: interruption and resume, thread invariance, old files.
 
 Every checkpointed job writes through scan.write_checkpoint, so one
-fault-injection hook covers census, Brun and the gap hunt.
+fault-injection hook covers census, Brun, the gap scan and hunt, and a
+fused walk of census, Brun and gaps.
 """
 import importlib
 import importlib.util
@@ -14,12 +15,13 @@ import pytest
 import primelab.scan as scan_mod
 from fractions import Fraction
 
-from primelab.brun import _BrunSum, brun_partial, format_sum
-from primelab.census import Pattern, _PatternCensus, count_pairs_2k
+from primelab.brun import _brun_job, _BrunSum, brun_partial, format_sum
+from primelab.census import (Pattern, _pattern_job, _PatternCensus,
+                             count_pairs_2k)
 from primelab.checkpoint import read_history, read_latest
 from primelab.config import Config
 from primelab.errors import CheckpointError
-from primelab.gaps import hunt_gap
+from primelab.gaps import _scan_job, hunt_gap, scan_gaps
 
 from conftest import naive_sieve, naive_window
 
@@ -54,8 +56,24 @@ def _hunt_trailing(path, threads=1):
                     checkpoint_path=path, checkpoint_stride=STRIDE)
 
 
+def _gaps(path, threads=2):
+    return scan_gaps(2 * 10**5,
+                     cfg=Config(segment_bytes=1 << 10, threads=threads),
+                     checkpoint_path=path, checkpoint_stride=STRIDE)
+
+
+def _fused(path, threads=2, gap_limit=2 * 10**5):
+    kernels, his, results = zip(_pattern_job((0, 2), 2 * 10**5, MARKS),
+                                _brun_job(2 * 10**5, MARKS),
+                                _scan_job(gap_limit))
+    states = scan_mod.scan(2, max(his), scan_mod.Fused(*kernels),
+                           Config(segment_bytes=1 << 10, threads=threads),
+                           path, STRIDE)
+    return [result(state) for result, state in zip(results, states)]
+
+
 JOBS = {"census": _census, "brun": _brun, "hunt": _hunt,
-        "hunt_trailing": _hunt_trailing}
+        "hunt_trailing": _hunt_trailing, "gaps": _gaps, "fused": _fused}
 
 
 class Crash(Exception):
@@ -171,10 +189,12 @@ def test_old_checkpoint_lines_resume(name, tmp_path):
     ("brun", {"sum": "1.5", "comp": "0", "pairs": "x", "rows": []}),
     ("brun", {"marks": MARKS, "pairs": ["1", "2", "3"], "sums": ["x"]}),
     ("hunt", {"found": "p"}),
+    ("gaps", {"last": "7", "firsts": [[2, "3"]], "maximal": [["3"]]}),
+    ("gaps", {"last": "7", "firsts": {"2": "3"}, "maximal": []}),
 ])
 def test_malformed_payload_is_checkpoint_error(name, payload, tmp_path):
     task = {"census": "pattern(0,2)@200000", "brun": "brun@200000",
-            "hunt": "gap_hunt(86)@200000"}[name]
+            "hunt": "gap_hunt(86)@200000", "gaps": "gap_scan@199999"}[name]
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"payload": payload, "range_done": 81922,
                                 "task_id": task, "version": 1}) + "\n")
@@ -210,7 +230,9 @@ def test_every_kernel_shards_by_threads(monkeypatch):
     brun_partial(4 * span, cfg=cfg, checkpoint_stride=span)
     brun, shards[:] = shards[:], []
     count_pairs_2k(1, 4 * span, cfg=cfg, checkpoint_stride=span)
-    assert brun == shards
+    census, shards[:] = shards[:], []
+    scan_gaps(4 * span, cfg=cfg, checkpoint_stride=span)
+    assert brun == census == shards
     assert brun[0] == 8
 
 
@@ -248,3 +270,20 @@ def test_scan_ends_at_the_last_mark(job, tmp_path):
     lines = len(read_history(whole))
     assert _low(job, whole) == fresh
     assert len(read_history(whole)) == lines  # nothing left to scan
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fused_walk_equals_separate_scans(threads):
+    census, brun, found = _fused(None, threads)
+    assert census.rows == _census(None, threads)
+    assert [(r.limit, r.sum, r.pair_count) for r in brun] == \
+        [(l, s, c) for l, s, _, c in _brun(None, threads)]
+    assert found == _gaps(None, threads)
+
+
+@pytest.mark.parametrize("gap_limit", [10**3, 54321, 2 * 10**5 - 2])
+def test_gap_kernel_ends_at_its_bound_under_a_longer_walk(gap_limit):
+    # the report's shape above 1e7: census and Brun walk past the gap cap
+    found = _fused(None, gap_limit=gap_limit)[2]
+    assert found == scan_gaps(gap_limit, cfg=Config(segment_bytes=1 << 10))
+    assert found.maximal[-1].p < gap_limit

@@ -1,4 +1,5 @@
 """The scripts/ entry points: argument parsing and exit status."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -51,3 +52,39 @@ def test_gap_hunt_not_found_is_not_a_violation(capsys):
     # the CLI agrees
     assert main(["gaps", "hunt", "--gap", "200", "--stop", "1e4"]) == 0
     assert capsys.readouterr().out == "gap,first_p\n200,\n"
+
+
+def _line(wall, rss, attempted=10, failed=0, correct=True):
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MiB"}}}
+
+
+def test_bench_pairs_summary_of_canned_lines():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    metrics = [{"name": "wall_s", "better": "lower"},
+               {"name": "peak_rss_mb", "better": "lower"}]
+    pairs = [{"parent": _line(0.80, 60.0), "change": _line(0.66, 60.0)},
+             {"parent": _line(0.78, 61.0), "change": _line(0.70, 59.0, 12)},
+             {"parent": _line(0.60, 60.5), "change": _line(0.64, 60.5)},
+             {"parent": _line(0.90, 60.0, failed=1),
+              "change": _line(0.62, 62.0)}]
+    got = bench.summarize(metrics, pairs)
+    wall = got["wall_s"]
+    assert wall["parent"] == {"n": 4, "median": 0.79, "q1": 0.645,
+                              "q3": 0.875}
+    assert wall["change"] == {"n": 4, "median": 0.65, "q1": 0.625,
+                              "q3": 0.69}
+    assert wall["change_better_pairs"] == "3/4"
+    assert wall["pairs"] == [[0.8, 0.66], [0.78, 0.7], [0.6, 0.64],
+                             [0.9, 0.62]]
+    assert got["peak_rss_mb"]["change_better_pairs"] == "1/4"  # ties lose
+    assert got["attempted"] == {"parent": 40, "change": 42}
+    assert got["failed"] == {"parent": 1, "change": 0}
+    assert got["all_correct_zero_failed"] is False
+    assert bench.summarize(metrics, pairs[:3])["all_correct_zero_failed"]
+    one = bench.summarize(metrics, pairs[:1])["wall_s"]["parent"]
+    assert one == {"n": 1, "median": 0.8, "q1": 0.8, "q3": 0.8}
