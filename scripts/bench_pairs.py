@@ -2,18 +2,18 @@
 """Alternating benchmark pairs from two checkouts, written as BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \
-        --pairs 10 --seed-base 1000 --traced 3 --out BENCH_10.json
+        --seed-base 1000 --out BENCH_10.json
 
-For each workload in BENCHMARK.json and each pair k = 1..pairs, runs
+For each workload in BENCHMARK.json and each pair k = 1..10, runs
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` in both
 checkouts, with S = seed_base + k on both sides, the parent first in odd
 pairs and the change first in even ones, and reads the JSON line each run
 prints.  Per workload and end-to-end metric the file gives each side's
 median and quartiles (statistics.quantiles, n=4), the pairs the change
 won, and every pair's values in run order; per side it gives the
-operations attempted and failed.  With --traced K it then runs K
-alternating `--trace 1` pairs per workload (seeds after the timed ones)
-and lists every per-layer metric that is not 0 on both sides, in run order.
+operations attempted and failed.  It then runs 3 alternating `--trace 1`
+pairs per workload (seeds after the timed ones) and lists every per-layer
+metric that is not 0 on both sides, in run order.
 Each checkout needs its own src/ and perfbench/.
 """
 from __future__ import annotations
@@ -28,6 +28,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10  # timed pairs per workload, the fewest that can back a claim
+TRACED = 3  # --trace 1 pairs per workload
 
 
 def run_one(checkout: Path, workload: str, seed: int, seconds: float,
@@ -61,8 +63,7 @@ def run_pairs(dirs: dict, workload: str, seeds, seconds: float,
 
 def _spread(values: list[float]) -> dict:
     med = statistics.median(values)
-    q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                 else (med, med, med))
+    q1, _, q3 = statistics.quantiles(values, n=4)
     return {"n": len(values), "median": round(med, 4),
             "q1": round(q1, 4), "q3": round(q3, 4)}
 
@@ -123,9 +124,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed-base", type=int, required=True)
-    ap.add_argument("--traced", type=int, default=0)
     ap.add_argument("--note", default="", help="what the change does")
     args = ap.parse_args(argv)
 
@@ -133,8 +132,8 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     dirs = {"parent": args.parent, "change": args.change}
     seconds = spec["run_seconds"]
-    seeds = range(args.seed_base + 1, args.seed_base + args.pairs + 1)
-    traced_seeds = range(seeds.stop, seeds.stop + args.traced)
+    seeds = range(args.seed_base + 1, args.seed_base + PAIRS + 1)
+    traced_seeds = range(seeds.stop, seeds.stop + TRACED)
 
     import numpy
     doc = {
@@ -147,25 +146,23 @@ def main(argv=None) -> int:
         "end_to_end": {
             "method": (f"python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {seconds} --trace 0 in each checkout; "
-                       f"{args.pairs} pairs per workload, parent first in "
+                       f"{PAIRS} pairs per workload, parent first in "
                        f"odd pairs, change first in even ones; seed "
                        f"{args.seed_base} + pair number on both sides; "
                        f"quartiles by statistics.quantiles(n=4); pairs "
                        f"lists [parent, change] in run order"),
             "workloads": {}},
-    }
-    if args.traced:
-        doc["traced"] = {"method": (
-            f"--trace 1 --seconds 10, {args.traced} alternating pairs per "
+        "traced": {"method": (
+            f"--trace 1 --seconds 10, {TRACED} alternating pairs per "
             f"workload, seeds {traced_seeds.start}-{traced_seeds.stop - 1}; "
-            f"values in run order")}
+            f"values in run order")},
+    }
     for w in workloads:
         pairs = run_pairs(dirs, w, seeds, seconds, 0)
         doc["end_to_end"]["workloads"][w] = summarize(spec["end_to_end"],
                                                       pairs)
-        if args.traced:
-            doc["traced"][w] = summarize_traced(
-                run_pairs(dirs, w, traced_seeds, 10, 1))
+        doc["traced"][w] = summarize_traced(
+            run_pairs(dirs, w, traced_seeds, 10, 1))
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -144,19 +144,6 @@ class _BrunSum(Kernel):
         return state
 
 
-def _brun_job(limit: int, checkpoints):
-    """brun_partial's kernel, the end of its walk, and its result."""
-    if not 5 <= limit < (1 << 62) - 2:
-        raise ValueError("need limit >= 5 and limit + 2 < 2**62")
-    marks = normalize_marks(limit, checkpoints)
-
-    def rows(state: np.ndarray) -> list[BrunRow]:
-        return [BrunRow(m, Fraction(int(n), 2**SCALE_BITS), int(c))
-                for m, c, n in zip(marks, *state)]
-
-    return _BrunSum(limit, marks), marks[-1] + 1, rows
-
-
 def brun_partial(limit: int, checkpoints: Sequence[int] | None = None, *,
                  cfg: Config | None = None,
                  checkpoint_path=None,
@@ -167,9 +154,14 @@ def brun_partial(limit: int, checkpoints: Sequence[int] | None = None, *,
     The scan stops at the largest mark; the checkpoint's task id still
     names the limit, so a file from a scan to the limit resumes here.
     """
-    kernel, hi, rows = _brun_job(limit, checkpoints)
+    if not 5 <= limit < (1 << 62) - 2:
+        raise ValueError("need limit >= 5 and limit + 2 < 2**62")
     cfg = (cfg or Config()).validate()
-    return rows(scan(2, hi, kernel, cfg, checkpoint_path, checkpoint_stride))
+    marks = normalize_marks(limit, checkpoints)
+    state = scan(2, marks[-1] + 1, _BrunSum(limit, marks), cfg,
+                 checkpoint_path, checkpoint_stride)
+    return [BrunRow(m, Fraction(int(n), 2**SCALE_BITS), int(c))
+            for m, c, n in zip(marks, *state)]
 
 
 def brun_extrapolate(sum_value, limit: int) -> Fraction:

@@ -157,27 +157,6 @@ class _PatternCensus(Kernel):
         return totals
 
 
-def _pattern_job(pattern, limit: int, checkpoints):
-    """count_pattern's kernel, the end of its walk, and its result."""
-    pat = Pattern.coerce(pattern)
-    if not admissible(pat):
-        raise ValueError(
-            f"pattern {pat.offsets} covers all residues mod a small prime; "
-            "its census is finite and would mislead")
-    if limit < 2:
-        raise ValueError("limit must be at least 2")
-    marks = normalize_marks(limit, checkpoints)
-
-    def table(totals: np.ndarray) -> CountTable:
-        if pat.k == 1:
-            # p = 2 is prime; every multi-offset pattern puts an even
-            # number at 2+o
-            totals = totals + (np.asarray(marks) >= 2)
-        return CountTable(pat.tag, tuple(zip(marks, map(int, totals))))
-
-    return _PatternCensus(pat, limit, marks), marks[-1] + 1, table
-
-
 def count_pattern(pattern, limit: int, checkpoints=None, *,
                   cfg: Config | None = None,
                   checkpoint_path: str | None = None,
@@ -189,9 +168,21 @@ def count_pattern(pattern, limit: int, checkpoints=None, *,
     at the largest checkpoint; the task id still names the limit, so a
     file from a scan to the limit resumes here.
     """
-    kernel, hi, table = _pattern_job(pattern, limit, checkpoints)
+    pat = Pattern.coerce(pattern)
+    if not admissible(pat):
+        raise ValueError(
+            f"pattern {pat.offsets} covers all residues mod a small prime; "
+            "its census is finite and would mislead")
+    if limit < 2:
+        raise ValueError("limit must be at least 2")
     cfg = (cfg or Config()).validate()
-    return table(scan(2, hi, kernel, cfg, checkpoint_path, checkpoint_stride))
+    marks = normalize_marks(limit, checkpoints)
+    totals = scan(2, marks[-1] + 1, _PatternCensus(pat, limit, marks), cfg,
+                  checkpoint_path, checkpoint_stride)
+    if pat.k == 1:
+        # p = 2 is prime; every multi-offset pattern puts an even number at 2+o
+        totals = totals + (np.asarray(marks) >= 2)
+    return CountTable(pat.tag, tuple(zip(marks, map(int, totals))))
 
 
 def count_pairs_2k(k: int, limit: int, checkpoints=None, *,

@@ -223,18 +223,6 @@ class _GapExtremes(_GapKernel):
         return GapExtremes(*low, *high)
 
 
-def _gap_scan(state: _GapCarry) -> GapScan:
-    return GapScan(dict(sorted(state.stats.firsts.items())),
-                   [GapRecord(p, g, "maximal") for p, g in state.stats.maximal])
-
-
-def _scan_job(limit: int):
-    """scan_gaps' kernel, the end of its walk, and its result."""
-    if limit < 3:
-        raise ValueError("limit must be at least 3")
-    return _GapStats(limit - 1), limit, _gap_scan
-
-
 def _missing(firsts: dict[int, int], max_gap: int) -> list[int]:
     return [g for g in range(2, max_gap + 1, 2) if g not in firsts]
 
@@ -247,10 +235,13 @@ def scan_gaps(limit: int, *, cfg: Config | None = None,
     Gap starts p < limit; the final prime's successor is looked up beyond
     the limit so its gap is still well defined.  Resumable as hunt_gap is.
     """
-    kernel, hi, result = _scan_job(limit)
+    if limit < 3:
+        raise ValueError("limit must be at least 3")
     cfg = (cfg or Config()).validate()
-    return result(scan(2, hi, kernel, cfg, checkpoint_path,
-                       checkpoint_stride))
+    state = scan(2, limit, _GapStats(limit - 1), cfg, checkpoint_path,
+                 checkpoint_stride)
+    return GapScan(dict(sorted(state.stats.firsts.items())),
+                   [GapRecord(p, g, "maximal") for p, g in state.stats.maximal])
 
 
 def first_occurrence(gap: int, limit: int, *,

@@ -12,12 +12,10 @@ from decimal import Decimal, localcontext
 from . import brun as brun_mod
 from . import census, constants, gaps, goldbach, refdata
 from .config import Config
-from .scan import Fused, scan
 
 __all__ = ["build_comparison_document"]
 
 _DEF_LIMIT = 10**8
-_GAP_CAP = 10**7  # the gap section scans below min(limit, this)
 
 
 def _decades_upto(limit: int) -> list[int]:
@@ -41,26 +39,17 @@ def _digits_of(k: int, base: int, exponent: int) -> int:
         return int(lg.to_integral_value(rounding="ROUND_FLOOR")) + 1
 
 
-def _walk(limit: int, cfg: Config | None):
-    """The census, Brun and gap results from one fused scan."""
-    decades = _decades_upto(limit)
-    jobs = (census._pattern_job((0, 2), limit, decades),
-            brun_mod._brun_job(limit, sorted(
-                set(brun_mod.estimate_marks(limit) + decades))),
-            gaps._scan_job(min(limit, _GAP_CAP)))
-    kernels, his, results = zip(*jobs)
-    states = scan(2, max(his), Fused(*kernels), (cfg or Config()).validate())
-    return [result(state) for result, state in zip(results, states)]
-
-
-def _census_section(table, lines: list[str]) -> dict[int, int]:
+def _census_section(limit: int, cfg: Config | None, lines: list[str]) -> dict[int, int]:
+    marks = _decades_upto(limit)
+    table = census.count_pairs_2k(1, limit, marks or None, cfg=cfg)
     counts = dict(table.rows)
     lines.append("## Twin pair census by decade")
     lines.append("")
     lines.append("| limit | computed | published | match | citation |")
     lines.append("|---|---|---|---|---|")
-    for x, computed in counts.items():
+    for x in marks:
         ref = refdata.PI2_BY_DECADE.get(x)
+        computed = counts[x]
         if ref is None:
             lines.append(f"| {_fmt_int(x)} | {_fmt_int(computed)} | - | - | - |")
             continue
@@ -152,7 +141,9 @@ def _bounds_section(x: int, pi2_limit: int, lines: list[str]) -> None:
     lines.append("")
 
 
-def _brun_section(partials, lines: list[str]) -> None:
+def _brun_section(limit: int, cfg: Config | None, lines: list[str]) -> None:
+    marks = sorted(set(brun_mod.estimate_marks(limit) + _decades_upto(limit)))
+    partials = brun_mod.brun_partial(limit, marks or None, cfg=cfg)
     rep = brun_mod.brun_table_report(partials)
     lines.append("## Reciprocal sums over twin pairs")
     lines.append("")
@@ -221,12 +212,13 @@ def _goldbach_section(limit: int, lines: list[str]) -> None:
     lines.append("")
 
 
-def _gaps_section(limit: int, found, lines: list[str]) -> None:
-    cap = min(limit, _GAP_CAP)
-    missing = gaps._missing(found.first_occurrences, 100)
+def _gaps_section(limit: int, cfg: Config | None, lines: list[str]) -> None:
+    cap = min(limit, 10**7)
+    scan = gaps.scan_gaps(cap, cfg=cfg)
+    missing = gaps._missing(scan.first_occurrences, 100)
     lines.append(f"## Prime gaps below {_fmt_int(cap)}")
     lines.append("")
-    recs = ", ".join(f"({r.p}, {r.gap})" for r in found.maximal[-6:])
+    recs = ", ".join(f"({r.p}, {r.gap})" for r in scan.maximal[-6:])
     lines.append(f"Largest maximal-gap records: {recs}.")
     lines.append(f"Even gaps <= 100 missing below the cap: "
                  f"{missing if missing else 'none'}.")
@@ -309,15 +301,14 @@ def build_comparison_document(limit: int = _DEF_LIMIT, *,
     lines.append(f"Census limit {_fmt_int(limit)}.  Every published value "
                  "carries its citation; computed values are fresh this run.")
     lines.append("")
-    table, partials, found = _walk(limit, cfg)
-    counts = _census_section(table, lines)
+    counts = _census_section(limit, cfg, lines)
     _prediction_section(counts, lines)
     _constants_section(lines)
     top = max(counts)
     _bounds_section(top, counts[top], lines)
-    _brun_section(partials, lines)
+    _brun_section(limit, cfg, lines)
     _goldbach_section(limit, lines)
-    _gaps_section(limit, found, lines)
+    _gaps_section(limit, cfg, lines)
     _records_section(lines)
     _exercises_section(limit, lines)
     return "\n".join(lines) + "\n"

@@ -61,48 +61,6 @@ class Kernel:
         return state
 
 
-class Fused(Kernel):
-    """Several kernels on one walk; the state is the tuple of theirs.
-
-    The walk reaches as far past a segment as the farthest-reaching part
-    needs, and scan() runs it to the end its caller gives, the largest of
-    the parts' ends, so each part must ignore integers past its own end
-    (the census and Brun kernels past their last mark, the gap kernels
-    past their bound).  Checkpoint payloads are kept per part.
-    """
-
-    def __init__(self, *kernels: Kernel):
-        self.kernels = kernels
-        self.reach = max(k.reach for k in kernels)
-        self.task_id = "+".join(k.task_id for k in kernels)
-
-    def empty(self) -> tuple:
-        return tuple(k.empty() for k in self.kernels)
-
-    def segment(self, lo: int, hi: int, bits) -> tuple:
-        return tuple(k.segment(lo, hi, bits) for k in self.kernels)
-
-    def merge(self, acc: tuple, part: tuple) -> tuple:
-        return tuple(k.merge(a, p)
-                     for k, a, p in zip(self.kernels, acc, part))
-
-    def done(self, state: tuple) -> bool:
-        return all(k.done(s) for k, s in zip(self.kernels, state))
-
-    def finish(self, state: tuple) -> tuple:
-        return tuple(k.finish(s) for k, s in zip(self.kernels, state))
-
-    def dump(self, state: tuple) -> dict:
-        return {"parts": [k.dump(s) for k, s in zip(self.kernels, state)]}
-
-    def load(self, payload: dict, range_done: int) -> tuple:
-        parts = payload["parts"]
-        if len(parts) != len(self.kernels):
-            raise ValueError("checkpoint parts do not match this run")
-        return tuple(k.load(p, range_done)
-                     for k, p in zip(self.kernels, parts))
-
-
 def scan(lo: int, hi: int, kernel: Kernel, cfg: Config,
          checkpoint_path: str | None = None, stride: int = 1 << 28):
     """Run kernel over [lo, hi), lo even, and return its final state.

@@ -1,8 +1,7 @@
 """The scan driver: interruption and resume, thread invariance, old files.
 
 Every checkpointed job writes through scan.write_checkpoint, so one
-fault-injection hook covers census, Brun, the gap scan and hunt, and a
-fused walk of census, Brun and gaps.
+fault-injection hook covers census, Brun, the gap scan and the gap hunt.
 """
 import importlib
 import importlib.util
@@ -15,13 +14,12 @@ import pytest
 import primelab.scan as scan_mod
 from fractions import Fraction
 
-from primelab.brun import _brun_job, _BrunSum, brun_partial, format_sum
-from primelab.census import (Pattern, _pattern_job, _PatternCensus,
-                             count_pairs_2k)
+from primelab.brun import _BrunSum, brun_partial, format_sum
+from primelab.census import Pattern, _PatternCensus, count_pairs_2k
 from primelab.checkpoint import read_history, read_latest
 from primelab.config import Config
 from primelab.errors import CheckpointError
-from primelab.gaps import _scan_job, hunt_gap, scan_gaps
+from primelab.gaps import _GapStats, hunt_gap, scan_gaps
 
 from conftest import naive_sieve, naive_window
 
@@ -62,18 +60,8 @@ def _gaps(path, threads=2):
                      checkpoint_path=path, checkpoint_stride=STRIDE)
 
 
-def _fused(path, threads=2, gap_limit=2 * 10**5):
-    kernels, his, results = zip(_pattern_job((0, 2), 2 * 10**5, MARKS),
-                                _brun_job(2 * 10**5, MARKS),
-                                _scan_job(gap_limit))
-    states = scan_mod.scan(2, max(his), scan_mod.Fused(*kernels),
-                           Config(segment_bytes=1 << 10, threads=threads),
-                           path, STRIDE)
-    return [result(state) for result, state in zip(results, states)]
-
-
 JOBS = {"census": _census, "brun": _brun, "hunt": _hunt,
-        "hunt_trailing": _hunt_trailing, "gaps": _gaps, "fused": _fused}
+        "hunt_trailing": _hunt_trailing, "gaps": _gaps}
 
 
 class Crash(Exception):
@@ -273,17 +261,10 @@ def test_scan_ends_at_the_last_mark(job, tmp_path):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_fused_walk_equals_separate_scans(threads):
-    census, brun, found = _fused(None, threads)
-    assert census.rows == _census(None, threads)
-    assert [(r.limit, r.sum, r.pair_count) for r in brun] == \
-        [(l, s, c) for l, s, _, c in _brun(None, threads)]
-    assert found == _gaps(None, threads)
-
-
 @pytest.mark.parametrize("gap_limit", [10**3, 54321, 2 * 10**5 - 2])
-def test_gap_kernel_ends_at_its_bound_under_a_longer_walk(gap_limit):
-    # the report's shape above 1e7: census and Brun walk past the gap cap
-    found = _fused(None, gap_limit=gap_limit)[2]
-    assert found == scan_gaps(gap_limit, cfg=Config(segment_bytes=1 << 10))
-    assert found.maximal[-1].p < gap_limit
+def test_gap_kernel_ends_at_its_bound_under_a_longer_walk(gap_limit, threads):
+    cfg = Config(segment_bytes=1 << 10, threads=threads)
+    bound = gap_limit - 1
+    longer = scan_mod.scan(2, 2 * 10**5 + 1, _GapStats(bound), cfg)
+    assert longer == scan_mod.scan(2, gap_limit, _GapStats(bound), cfg)
+    assert longer.last <= bound

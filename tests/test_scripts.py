@@ -86,5 +86,3 @@ def test_bench_pairs_summary_of_canned_lines():
     assert got["failed"] == {"parent": 1, "change": 0}
     assert got["all_correct_zero_failed"] is False
     assert bench.summarize(metrics, pairs[:3])["all_correct_zero_failed"]
-    one = bench.summarize(metrics, pairs[:1])["wall_s"]["parent"]
-    assert one == {"n": 1, "median": 0.8, "q1": 0.8, "q3": 0.8}
