@@ -20,6 +20,7 @@ import time
 from primelab.brun import brun_partial, brun_table_report, estimate_marks
 from primelab.cli import _emit, int_arg
 from primelab.config import Config, resolve
+from primelab.scan import decade_marks
 
 
 def main() -> int:
@@ -32,11 +33,8 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = resolve(Config(), threads=args.threads)
-    marks = set(estimate_marks(args.limit)) | {args.limit}
-    d = 1000
-    while d <= args.limit:
-        marks.add(d)
-        d *= 10
+    marks = {*estimate_marks(args.limit), *decade_marks(args.limit),
+             args.limit}
 
     t0 = time.time()
     rows = brun_partial(args.limit, sorted(marks), cfg=cfg,

@@ -19,6 +19,7 @@ from primelab.census import count_pairs_2k
 from primelab.cli import _emit, int_arg
 from primelab.config import Config, resolve
 from primelab.refdata import PI2_BY_DECADE
+from primelab.scan import decade_marks
 
 
 def main() -> int:
@@ -31,11 +32,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = resolve(Config(), threads=args.threads)
-    decades = []
-    d = 1000
-    while d <= args.limit:
-        decades.append(d)
-        d *= 10
+    decades = decade_marks(args.limit)
     if decades[-1] != args.limit:
         decades.append(args.limit)
 

@@ -410,23 +410,31 @@ def non_twin_prime_run(m: int, search_limit: int = 10**8, *,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    run: list[int] = []
-    best = 0
-    prev = None
-    cur = None
     # successor lookahead decides right-side twin membership; a successor
-    # beyond search_limit + 2 cannot be at gap 2
-    for nxt in iter_primes(search_limit + 2, cfg):
-        if cur is not None:
-            twin = (prev is not None and cur - prev == 2) or nxt - cur == 2
-            if twin:
-                run = []
-            else:
-                run.append(cur)
-                if len(run) == m:
-                    return run
-                best = max(best, len(run))
-        prev, cur = cur, nxt
+    # beyond search_limit + 2 cannot be at gap 2.  The primes are read in
+    # prefixes that double from 2**10, so an early run sieves no more than
+    # twice its reach; every prime but a prefix's last has its successor.
+    top = search_limit + 2
+    size = min(1 << 10, top)
+    while True:
+        run: list[int] = []
+        best = 0
+        prev = None
+        cur = None
+        for nxt in iter_primes(size, cfg):
+            if cur is not None:
+                twin = (prev is not None and cur - prev == 2) or nxt - cur == 2
+                if twin:
+                    run = []
+                else:
+                    run.append(cur)
+                    if len(run) == m:
+                        return run
+                    best = max(best, len(run))
+            prev, cur = cur, nxt
+        if size == top:
+            break
+        size = min(2 * size, top)
     if cur is not None and cur <= search_limit:
         if not (prev is not None and cur - prev == 2):
             run.append(cur)

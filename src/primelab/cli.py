@@ -99,8 +99,8 @@ def _emit(args: argparse.Namespace, doc=None, table=None) -> None:
 def _cmd_sieve(args) -> int:
     cfg = _cfg(args)
     if args.action == "count":
-        from .sieve import iter_segments
-        total = sum(seg.count() for seg in iter_segments(args.limit, cfg))
+        from .sieve import count_primes
+        total = count_primes(2, args.limit, cfg)
         _emit(args, {"limit": args.limit, "count": total},
               ("limit,count", [(args.limit, total)]))
     elif args.action == "primes":

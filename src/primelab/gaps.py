@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import Config
 from .scan import Kernel, scan
-from .sieve import PrimeSegment, Walk, _odd_count, is_prime_64
+from .sieve import _odd_count, count_primes, is_prime_64, prime_values
 
 __all__ = [
     "GapRecord",
@@ -104,7 +104,7 @@ def _block_any(blocks: np.ndarray) -> np.ndarray:
 class _GapCarry(NamedTuple):
     first: int | None  # first prime of the range
     last: int | None  # last prime of the range
-    stats: tuple  # of the gaps between the range's primes
+    stats: object  # of the gaps between the range's primes
 
 
 class _GapKernel(Kernel):
@@ -128,7 +128,7 @@ class _GapKernel(Kernel):
         top = min(hi, self.bound + 1)
         if top <= lo:
             return self.empty()
-        ps = PrimeSegment(lo, top, bits[:_odd_count(lo, top)]).values()
+        ps = prime_values(lo, bits[:_odd_count(lo, top)])
         if not len(ps):
             return self.empty()
         return _GapCarry(int(ps[0]), int(ps[-1]), self.stats(
@@ -280,16 +280,6 @@ def _integer_root(n: int, k: int) -> int:
         x = y
 
 
-def _count_primes_interval(a: int, b: int, cfg: Config | None) -> int:
-    """Number of primes in [a, b]."""
-    if b < a or b < 2:
-        return 0
-    walk = Walk(b + 1, (cfg or Config()).validate())
-    anchor = max(a - a % 2, 2)
-    return (1 if a <= 2 else 0) + sum(
-        int(bits.sum()) for _, _, bits in walk.segments(anchor, b + 1))
-
-
 def interval_prime_count(x: int, theta) -> IntervalCount:
     """Primes in (x, x + floor(x**theta)] against the x**theta / log x density.
 
@@ -302,7 +292,7 @@ def interval_prime_count(x: int, theta) -> IntervalCount:
     if not 0 < th < 1:
         raise ValueError("theta must lie strictly between 0 and 1")
     window = _integer_root(x ** th.numerator, th.denominator)
-    count = _count_primes_interval(x + 1, x + window, None)
+    count = count_primes(x + 1, x + window)
     expected = math.exp(float(th) * math.log(x)) / math.log(x)
     return IntervalCount(count, expected, count / expected)
 
@@ -355,25 +345,29 @@ def normalized_gap_extremes(limit: int, *,
     return scan(2, limit + 1, _GapExtremes(limit), cfg).stats
 
 
-class _GapState(NamedTuple):
-    first: int | None  # first prime of the range
-    last: int | None  # last prime of the range
-    hit: int | None  # first p in the range whose successor is p + gap
-
-
-class _GapHunt(Kernel):
+class _GapHunt(_GapKernel):
     """First prime whose successor sits gap away; payload "carry" or "found"."""
 
+    NONE = None
+
     def __init__(self, gap: int, stop: int):
+        super().__init__(stop)
         self.task_id = f"gap_hunt({gap})@{stop}"
         self.gap = gap
 
-    def empty(self) -> _GapState:
-        return _GapState(None, None, None)
+    def stats(self, starts: np.ndarray, gaps: np.ndarray) -> int | None:
+        hit = np.flatnonzero(gaps == self.gap)
+        return int(starts[hit[0]]) if len(hit) else None
 
-    def segment(self, lo: int, hi: int, bits: np.ndarray) -> _GapState:
+    def join(self, a: int | None, b: int | None) -> int | None:
+        return a if a is not None else b
+
+    def done(self, state: _GapCarry) -> bool:
+        return state.stats is not None
+
+    def segment(self, lo: int, hi: int, bits: np.ndarray) -> _GapCarry:
         if self.gap < BLOCK_SCAN_GAP or lo == 2:
-            return self._direct(lo, hi, bits)
+            return super().segment(lo, hi, bits)
         # a gap g leaves g/2 - 1 >= 2 * width - 1 composite odds between
         # its primes, so they cover an aligned all-composite block
         width = 1 << ((self.gap // 4).bit_length() - 1)
@@ -382,7 +376,7 @@ class _GapHunt(Kernel):
         busy = _block_any(blocks)
         last = _last_true(busy)
         if last is None:
-            return self._direct(lo, hi, bits)
+            return super().segment(lo, hi, bits)
         first = int(np.argmax(busy))
         first = first * width + int(np.argmax(blocks[first]))
         # up to the last prime in whole blocks, each run of k empty blocks
@@ -401,48 +395,21 @@ class _GapHunt(Kernel):
         hit = np.flatnonzero(nxt - prev == half)
         # from that last prime on, the primes are read directly
         q = last * width + _last_true(blocks[last])
-        tail = self._direct(lo + 2 * q, hi, bits[q:])
-        return _GapState(lo + 1 + 2 * first, tail.last,
+        tail = super().segment(lo + 2 * q, hi, bits[q:])
+        return _GapCarry(lo + 1 + 2 * first, tail.last,
                          lo + 1 + 2 * int(prev[hit[0]]) if len(hit)
-                         else tail.hit)
+                         else tail.stats)
 
-    def _direct(self, lo: int, hi: int, bits: np.ndarray) -> _GapState:
-        ps = PrimeSegment(lo, hi, bits).values()
-        if not len(ps):
-            return self.empty()
-        hit = np.flatnonzero(np.diff(ps) == self.gap)
-        return _GapState(int(ps[0]), int(ps[-1]),
-                         int(ps[hit[0]]) if len(hit) else None)
-
-    def merge(self, acc: _GapState, part: _GapState) -> _GapState:
-        if acc.hit is not None or part.first is None:
-            return acc
-        if acc.last is None:
-            return part
-        hit = acc.last if part.first - acc.last == self.gap else part.hit
-        return _GapState(acc.first, part.last, hit)
-
-    def done(self, state: _GapState) -> bool:
-        return state.hit is not None
-
-    def finish(self, state: _GapState) -> _GapState:
-        # the trailing prime's gap may close just past the bound
-        last = state.last
-        if state.hit is None and last is not None and \
-                _first_prime_in(last + 1, 2 * last) - last == self.gap:
-            state = state._replace(hit=last)
-        return state
-
-    def dump(self, state: _GapState) -> dict:
-        if state.hit is not None:
-            return {"found": str(state.hit)}
+    def dump(self, state: _GapCarry) -> dict:
+        if state.stats is not None:
+            return {"found": str(state.stats)}
         return {"carry": None if state.last is None else str(state.last)}
 
-    def load(self, payload: dict, range_done: int) -> _GapState:
+    def load(self, payload: dict, range_done: int) -> _GapCarry:
         if payload.get("found"):
-            return _GapState(None, None, int(payload["found"]))
+            return _GapCarry(None, None, int(payload["found"]))
         carry = payload.get("carry")
-        return _GapState(None, None if carry is None else int(carry), None)
+        return _GapCarry(None, None if carry is None else int(carry), None)
 
 
 def hunt_gap(gap: int, stop: int, *, start: int = 2,
@@ -461,5 +428,5 @@ def hunt_gap(gap: int, stop: int, *, start: int = 2,
     cfg = (cfg or Config()).validate()
     state = scan(max(2, start - start % 2), stop + 1, _GapHunt(gap, stop),
                  cfg, checkpoint_path, checkpoint_stride)
-    return (None if state.hit is None
-            else GapRecord(state.hit, gap, "first_occurrence"))
+    return (None if state.stats is None
+            else GapRecord(state.stats, gap, "first_occurrence"))

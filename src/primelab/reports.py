@@ -12,19 +12,11 @@ from decimal import Decimal, localcontext
 from . import brun as brun_mod
 from . import census, constants, gaps, goldbach, refdata
 from .config import Config
+from .scan import decade_marks
 
 __all__ = ["build_comparison_document"]
 
 _DEF_LIMIT = 10**8
-
-
-def _decades_upto(limit: int) -> list[int]:
-    out = []
-    d = 10**3
-    while d <= limit:
-        out.append(d)
-        d *= 10
-    return out
 
 
 def _fmt_int(n: int) -> str:
@@ -40,7 +32,7 @@ def _digits_of(k: int, base: int, exponent: int) -> int:
 
 
 def _census_section(limit: int, cfg: Config | None, lines: list[str]) -> dict[int, int]:
-    marks = _decades_upto(limit)
+    marks = decade_marks(limit)
     table = census.count_pairs_2k(1, limit, marks or None, cfg=cfg)
     counts = dict(table.rows)
     lines.append("## Twin pair census by decade")
@@ -142,7 +134,7 @@ def _bounds_section(x: int, pi2_limit: int, lines: list[str]) -> None:
 
 
 def _brun_section(limit: int, cfg: Config | None, lines: list[str]) -> None:
-    marks = sorted(set(brun_mod.estimate_marks(limit) + _decades_upto(limit)))
+    marks = sorted(set(brun_mod.estimate_marks(limit) + decade_marks(limit)))
     partials = brun_mod.brun_partial(limit, marks or None, cfg=cfg)
     rep = brun_mod.brun_table_report(partials)
     lines.append("## Reciprocal sums over twin pairs")

@@ -31,6 +31,15 @@ def normalize_marks(limit: int, checkpoints) -> tuple[int, ...]:
     return marks
 
 
+def decade_marks(limit: int) -> list[int]:
+    """The report marks 10**3, 10**4, ... up to limit."""
+    marks, d = [], 10**3
+    while d <= limit:
+        marks.append(d)
+        d *= 10
+    return marks
+
+
 def resume(path: str, task_id: str) -> Checkpoint | None:
     """The file's latest checkpoint (None if none); it must be task_id's."""
     cp = read_latest(path)

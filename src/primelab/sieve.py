@@ -15,8 +15,8 @@ three tiers, after Oliveira e Silva, Herzog and Pardi, Math. Comp. 83
 - large primes hit it fewer than 64 times each, so they cross off
   together, one vectorised pass per hit.
 
-The prime 2 never appears in a bit array; iterators inject it when a
-range covers it.
+The prime 2 never appears in a bit array; prime_values puts it first
+for a segment that starts at 2.
 
 The kernel computes in int64.  Every value it forms stays below hi plus
 the largest base prime it uses, so a window [lo, hi) is accepted only
@@ -70,39 +70,11 @@ def _odd_count(lo: int, hi: int) -> int:
     return (hi - 1 - first) // 2 + 1
 
 
-@dataclass(frozen=True)
-class PrimeSegment:
-    """Primality bits for the odd numbers in [lo, hi), lo even."""
-
-    lo: int
-    hi: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        if self.lo % 2 != 0:
-            raise ValueError("segment lo must be even")
-        if not (2 <= self.lo < self.hi):
-            raise ValueError("need 2 <= lo < hi")
-        if len(self.bits) != _odd_count(self.lo, self.hi):
-            raise ValueError("bit array does not match range")
-
-    @property
-    def contains_two(self) -> bool:
-        return self.lo <= 2 < self.hi
-
-    def count(self) -> int:
-        return int(self.bits.sum()) + (1 if self.contains_two else 0)
-
-    def values(self) -> np.ndarray:
-        """Primes in [lo, hi) as an int64 array."""
-        odds = self.lo + 1 + 2 * np.flatnonzero(self.bits).astype(np.int64)
-        if self.contains_two:
-            return np.concatenate(([2], odds))
-        return odds
-
-    def primes(self) -> Iterator[int]:
-        for v in self.values():
-            yield int(v)
+def prime_values(lo: int, bits: np.ndarray) -> np.ndarray:
+    """Primes marked by bits, a segment from even lo, as an int64 array;
+    2 leads when lo is 2, as no bit array holds it."""
+    odds = lo + 1 + 2 * np.flatnonzero(bits).astype(np.int64)
+    return np.concatenate(([2], odds)) if lo == 2 else odds
 
 
 _small_prime_cache: dict[int, np.ndarray] = {}
@@ -267,29 +239,35 @@ class Walk:
                                                self.base, out=buf)
 
 
-def iter_segments(limit: int, cfg: Config | None = None) -> Iterator[PrimeSegment]:
-    """Tile [2, limit] with non-overlapping segments.
-
-    Each yielded segment owns its bits (no shared buffers), so callers
-    may hold on to segments after advancing the iterator.
-    """
+def _prime_arrays(limit: int, cfg: Config | None) -> Iterator[np.ndarray]:
+    """The primes <= limit, one int64 array per segment."""
     if limit < 2:
         return
     walk = Walk(limit + 1, cfg or Config())
-    for lo, hi, bits in walk.segments(2, limit + 1):
-        yield PrimeSegment(lo, hi, bits.copy())
+    for lo, _, bits in walk.segments(2, limit + 1):
+        yield prime_values(lo, bits)
 
 
 def iter_primes(limit: int, cfg: Config | None = None) -> Iterator[int]:
     """Yield every prime <= limit in increasing order."""
-    for seg in iter_segments(limit, cfg):
-        yield from seg.primes()
+    for ps in _prime_arrays(limit, cfg):
+        yield from ps.tolist()
 
 
 def primes_array(limit: int, cfg: Config | None = None) -> np.ndarray:
     """All primes <= limit as one int64 array (memory scales with pi(limit))."""
-    chunks = [seg.values() for seg in iter_segments(limit, cfg)]
+    chunks = list(_prime_arrays(limit, cfg))
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+
+def count_primes(a: int, b: int, cfg: Config | None = None) -> int:
+    """Number of primes in [a, b]."""
+    if b < a or b < 2:
+        return 0
+    walk = Walk(b + 1, (cfg or Config()).validate())
+    return (1 if a <= 2 else 0) + sum(
+        int(np.count_nonzero(bits))
+        for _, _, bits in walk.segments(max(a - a % 2, 2), b + 1))
 
 
 def odd_prime_flags(limit: int) -> np.ndarray:
@@ -458,21 +436,3 @@ def factorize_64(n: int) -> Factorization:
         stack.append(d)
         stack.append(m // d)
     return Factorization(n, tuple(sorted(counts.items())))
-
-
-def composite_run(n: int, allow_big: bool = False) -> list[int]:
-    """The n consecutive composites (n+1)!+2 .. (n+1)!+(n+1).
-
-    n <= 20 keeps every element inside 64 bits; larger n needs
-    allow_big=True and returns arbitrary-precision integers.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > 20 and not allow_big:
-        raise ValueError("n > 20 leaves the 64-bit fast path; pass allow_big=True")
-    f = math.factorial(n + 1)
-    run = [f + k for k in range(2, n + 2)]
-    for k, value in zip(range(2, n + 2), run):
-        if value % k != 0:  # k divides (n+1)! by construction
-            raise AssertionError("composite witness failed")
-    return run

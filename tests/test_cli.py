@@ -17,6 +17,15 @@ def run(capsys, *argv):
     return code, out
 
 
+def test_star_import_resolves_every_export():
+    import primelab
+    names = {}
+    exec("from primelab import *", names)  # a dangling export raises here
+    assert len(set(primelab.__all__)) == len(primelab.__all__)
+    for name in primelab.__all__:
+        assert names[name] is getattr(primelab, name), name
+
+
 def test_census_pairs_table_ending(capsys):
     code, out = run(capsys, "census", "pairs", "--gap", "2",
                     "--limit", "1e6")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import primelab.sieve as sieve_mod
 from primelab.config import DEFAULT_SEGMENT_BYTES, Config
 from primelab.gaps import (
-    _count_primes_interval,
     first_occurrence,
     hunt_gap,
     interval_prime_count,
@@ -19,6 +18,7 @@ from primelab.gaps import (
     scan_gaps,
     short_interval_above_square,
 )
+from primelab.sieve import count_primes
 
 from conftest import naive_sieve, naive_window
 
@@ -156,7 +156,7 @@ def test_windows_past_int64_rejected_before_base_table(monkeypatch):
 
     monkeypatch.setattr(sieve_mod, "small_primes", no_table)
     with pytest.raises(ValueError, match="int64"):
-        _count_primes_interval(2**63 + 10, 2**63 + 20, None)
+        count_primes(2**63 + 10, 2**63 + 20)
     with pytest.raises(ValueError, match="int64"):
         hunt_gap(100, 2**63 + 20, start=2**63)
 

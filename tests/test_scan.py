@@ -172,6 +172,30 @@ def test_old_checkpoint_lines_resume(name, tmp_path):
         assert abs(a - b) < Fraction(1, 2**56)
 
 
+# The gap hunt's lines as this release writes them: the carried last
+# prime mid-run, then the start of the gap, found in a segment (hunt) or
+# past the stop by the successor lookup (hunt_trailing).
+HUNT_LINES = {
+    "hunt": ('{"payload": {"carry": "81919"}, "range_done": 81922, '
+             '"task_id": "gap_hunt(86)@200000", "version": 1}',
+             '{"payload": {"found": "155921"}, "range_done": 163842, '
+             '"task_id": "gap_hunt(86)@200000", "version": 1}'),
+    "hunt_trailing": ('{"payload": {"carry": "81919"}, "range_done": 81922, '
+                      '"task_id": "gap_hunt(86)@155950", "version": 1}',
+                      '{"payload": {"found": "155921"}, "range_done": 155951, '
+                      '"task_id": "gap_hunt(86)@155950", "version": 1}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUNT_LINES))
+def test_hunt_checkpoint_lines_pinned(name, tmp_path):
+    path = tmp_path / "hunt.jsonl"
+    JOBS[name](str(path))
+    lines = path.read_text().splitlines()
+    assert len(lines) == 10  # chunks of STRIDE up to the find or the stop
+    assert (lines[4], lines[-1]) == HUNT_LINES[name]
+
+
 @pytest.mark.parametrize("name, payload", [
     ("census", {"marks": MARKS}),
     ("brun", {"sum": "1.5", "comp": "0", "pairs": "x", "rows": []}),

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 from math import isqrt
 
 import numpy as np
@@ -14,13 +15,13 @@ from primelab.sieve import (
     INT64_BOUND,
     _odd_count,
     check_window,
-    composite_run,
+    count_primes,
     factorize_64,
     fill_segment,
     is_prime_64,
     iter_primes,
-    iter_segments,
     odd_prime_flags,
+    prime_values,
     primes_array,
     prp_test,
     small_primes,
@@ -72,12 +73,25 @@ def test_iter_primes_crosses_segments(primes_1e6):
 
 def test_segment_counts_sum_to_pi(primes_1e6):
     cfg = Config(segment_bytes=1 << 12)
-    total = sum(seg.count() for seg in iter_segments(10**6, cfg))
-    assert total == len(primes_1e6)
+    assert count_primes(2, 10**6, cfg) == len(primes_1e6)
+
+
+@pytest.mark.parametrize("segment_bytes", [1 << 10, None])
+def test_count_primes_intervals_vs_naive(primes_1e6, segment_bytes, rng):
+    cfg = Config(segment_bytes=segment_bytes) if segment_bytes else None
+    edges = [(0, 1), (-5, 1), (2, 2), (-3, 2), (0, 3), (2, 3), (3, 3),
+             (3, 2), (10, 9), (100, 50), (1, 10**5), (4, 2)]
+    lows = [rng.randrange(-10, 3 * 10**5) for _ in range(20)]
+    drawn = [(a, a + rng.randrange(-5, 10**5)) for a in lows]
+    for a, b in edges + drawn:
+        want = max(0, bisect_right(primes_1e6, b) - bisect_left(primes_1e6, a))
+        got = count_primes(a, b, cfg)
+        assert type(got) is int and got == want, (a, b)
 
 
 @given(st.integers(min_value=0, max_value=10**6),
        st.integers(min_value=1, max_value=3000))
+@example(lo2=0, width=1)  # [2, 3): no odds, and prime_values gives [2]
 def test_fill_segment_window_matches_naive(lo2, width):
     lo = 2 * (lo2 // 2) + 2  # even, >= 2
     hi = lo + width
@@ -87,6 +101,8 @@ def test_fill_segment_window_matches_naive(lo2, width):
     assert len(bits) == len(odds)
     for flag, n in zip(bits, odds):
         assert bool(flag) == naive_is_prime(n), n
+    want = [2] * (lo == 2) + [n for n in odds if naive_is_prime(n)]
+    assert prime_values(lo, bits).tolist() == want
 
 
 def slice_loop_fill(lo, hi, base_primes):
@@ -289,17 +305,3 @@ def test_factorize_semiprime_64():
     f = factorize_64(p * q)
     assert f.as_dict() == {q: 1, p: 1}
 
-
-def test_composite_run():
-    run = composite_run(5)
-    assert len(run) == 5
-    assert run == list(range(run[0], run[0] + 5))
-    for v in run:
-        assert not is_prime_64(v)
-
-
-def test_composite_run_big_guard():
-    with pytest.raises(ValueError):
-        composite_run(21)
-    run = composite_run(25, allow_big=True)
-    assert len(run) == 25 and all(not sympy.isprime(v) for v in run[:3])
