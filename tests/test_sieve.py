@@ -304,4 +304,3 @@ def test_factorize_semiprime_64():
     p, q = 4294967291, 4294967279  # both prime, product near 2**64
     f = factorize_64(p * q)
     assert f.as_dict() == {q: 1, p: 1}
-
