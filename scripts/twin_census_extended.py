@@ -33,7 +33,7 @@ def main() -> int:
 
     cfg = resolve(Config(), threads=args.threads)
     decades = decade_marks(args.limit)
-    if decades[-1] != args.limit:
+    if not decades or decades[-1] != args.limit:
         decades.append(args.limit)
 
     t0 = time.time()

@@ -20,6 +20,7 @@ from .config import Config
 from .errors import CheckpointError
 from .refdata import BRUN_ESTIMATES, BRUN_KUTRIB_RICHSTEIN, BRUN_REFERENCE
 from .scan import Kernel, normalize_marks, scan
+from .sieve import instance_chunks
 
 __all__ = ["BrunRow", "BrunReportRow", "brun_partial", "brun_extrapolate",
            "brun_table_report", "estimate_marks", "format_sum"]
@@ -98,7 +99,10 @@ class _BrunSum(Kernel):
 
     def segment(self, lo: int, hi: int, bits: np.ndarray) -> np.ndarray:
         slots = (hi - lo) // 2
-        p = lo + 1 + 2 * np.flatnonzero(bits[:slots] & bits[1:slots + 1])
+        idx = [i + np.flatnonzero(pairs)
+               for i, pairs in instance_chunks(bits, slots, (1,))]
+        p = lo + 1 + 2 * (np.concatenate(idx) if idx
+                          else np.empty(0, dtype=np.int64))
         q = np.repeat(p, 2)
         q[1::2] += 2
         r = np.ones_like(q)

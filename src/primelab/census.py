@@ -21,6 +21,7 @@ from .sieve import (
     INT64_BOUND,
     Walk,
     _odd_count,
+    instance_chunks,
     is_prime_64,
     iter_primes,
     odd_prime_flags,
@@ -130,16 +131,16 @@ class _PatternCensus(Kernel):
 
     def segment(self, lo: int, hi: int, bits: np.ndarray) -> np.ndarray:
         m = _odd_count(lo, hi)
-        inst = bits[:m].copy()
-        for s in self.shifts:
-            inst &= bits[s:s + m]
-        full = int(inst.sum())
+        # a mark counts the instances among the first `cut` odds
+        cuts = [min(_odd_count(lo, mark + 1), m) for mark in self.marks]
         totals = self.empty()
-        for j, mark in enumerate(self.marks):
-            if mark >= hi - 1:
-                totals[j] = full
-            elif mark >= lo:
-                totals[j] = int(inst[:_odd_count(lo, mark + 1)].sum())
+        for i, inst in instance_chunks(bits, m, self.shifts):
+            full = np.count_nonzero(inst)
+            for j, cut in enumerate(cuts):
+                if cut >= i + len(inst):
+                    totals[j] += full
+                elif cut > i:
+                    totals[j] += np.count_nonzero(inst[:cut - i])
         return totals
 
     def merge(self, acc: np.ndarray, part: np.ndarray) -> np.ndarray:

@@ -14,17 +14,17 @@ T = TypeVar("T")
 def split_range(lo: int, hi: int, parts: int, align: int = 2) -> list[tuple[int, int]]:
     """Split [lo, hi) into at most `parts` disjoint covering subranges.
 
-    Boundaries are rounded down to multiples of `align` so that callers
-    relying on even segment bases keep that property inside every shard.
+    Every subrange but the last is step = (hi - lo) // parts long, rounded
+    down to a multiple of `align` (at least `align`), so callers relying on
+    even segment bases keep that property inside every shard; the last
+    takes the rest, so none is shorter than step.
     """
     if hi <= lo:
         return []
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    span = hi - lo
-    step = max(align, -(-span // parts))
-    step += (-step) % align
-    bounds = list(range(lo, hi, step)) + [hi]
+    step = max(align, (hi - lo) // parts // align * align)
+    bounds = list(range(lo, hi, step))[:parts] + [hi]
     return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
 

@@ -1,10 +1,14 @@
 """The segmented scan driver: chunks, shards, checkpoints and resume.
 
 scan() runs a Kernel over [lo, hi) in chunks of max(stride, span)
-integers, each split into 4 shards per thread (one on a single thread)
-that walk their segments serially (sieve.Walk).  Shard states merge
-exactly, in range order; the state is checkpointed after every chunk.
-After Oliveira e Silva, Herzog and Pardi, Math. Comp. 83 (2014).
+integers.  On one thread a chunk is one shard; on t threads it splits
+into at most 4t shards, and at least t where the chunk is long enough,
+none shorter than one segment or one sieve.BLOCK of odds, whichever is
+less.  A shorter shard would cut fill_segment's cache blocks short and
+pay its per-prime Python calls for fewer integers.  Shards walk their
+segments serially (sieve.Walk), merge exactly, in range order, and the
+state is checkpointed after every chunk.  After Oliveira e Silva, Herzog
+and Pardi, Math. Comp. 83 (2014).
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from .checkpoint import Checkpoint, read_latest, write_checkpoint
 from .config import Config
 from .errors import CheckpointError
 from .parallel import run_sharded, split_range
-from .sieve import Walk
+from .sieve import BLOCK, Walk
 
 
 def normalize_marks(limit: int, checkpoints) -> tuple[int, ...]:
@@ -106,9 +110,12 @@ def scan(lo: int, hi: int, kernel: Kernel, cfg: Config,
 
     chunk = max(stride, walk.span)
     chunk -= chunk % 2
+    least = min(walk.span, 2 * BLOCK)  # the shortest shard, in integers
     while pos < hi and not kernel.done(state):
         nxt = min(pos + chunk, hi)
-        parts = cfg.threads * 4 if cfg.threads > 1 else 1
+        parts = 1
+        if cfg.threads > 1:
+            parts = max(1, min(4 * cfg.threads, (nxt - pos) // least))
         shards = split_range(pos, nxt, parts)
         for part in run_sharded(worker, shards, cfg.threads):
             state = kernel.merge(state, part)

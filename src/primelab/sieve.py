@@ -4,12 +4,17 @@ The segment layout is odds-only: bit i of a segment starting at even lo
 corresponds to the odd number lo + 1 + 2i.  Stepping an odd prime p
 through consecutive odd multiples advances the value by 2p, which is a
 stride of exactly p in index space.  fill_segment sieves base primes in
-three tiers, after Oliveira e Silva, Herzog and Pardi, Math. Comp. 83
-(2014), who sieve small, medium and large primes by separate methods:
+four tiers, after Oliveira e Silva, Herzog and Pardi, Math. Comp. 83
+(2014), who pre-sieve the smallest primes and sieve small, medium and
+large primes by separate methods:
 
-- small primes (below BLOCK // 64) cross off with one numpy slice per
-  prime and per cache block of BLOCK odds, so each block stays in cache
-  while every small prime passes over it;
+- the wheel primes 3 .. 17 are not sieved one by one: a segment starts
+  as a copy of a read-only pattern of their odd multiples, whose period
+  is 3*5*7*11*13*17 = 255255 odds, and each wheel prime inside it is set
+  back;
+- small primes (above 17, below BLOCK // 64) cross off with one numpy
+  slice per prime and per cache block of BLOCK odds, so each block stays
+  in cache while every small prime passes over it;
 - medium primes (below max(64, n // 64) for a segment of n odds) hit
   the segment at least 64 times, and cross off with one slice each;
 - large primes hit it fewer than 64 times each, so they cross off
@@ -24,11 +29,12 @@ while that sum is below 2**63 (see check_window).
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +67,21 @@ BLOCK = 1 << 20
 # skips converting a Python scalar, which halves the cost of a short slice.
 _FALSE = np.zeros((), dtype=bool)
 
+# The wheel primes, whose multiples fill_segment copies from one pattern.
+_WHEEL = (3, 5, 7, 11, 13, 17)
+_WHEEL_PERIOD = math.prod(_WHEEL)  # in odd indices
+
+
+@functools.cache
+def _wheel_pattern() -> np.ndarray:
+    """Read-only flags of odd index g (the odd 2g + 1) for g < 2 periods:
+    True when 2g + 1 has no wheel prime factor.  Built on first use."""
+    flags = np.ones(2 * _WHEEL_PERIOD, dtype=bool)
+    for p in _WHEEL:
+        flags[p >> 1::p] = False  # 2g + 1 = p (mod 2p)
+    flags.setflags(write=False)
+    return flags
+
 
 def _odd_count(lo: int, hi: int) -> int:
     """Number of odd integers in [lo, hi) for even lo."""
@@ -68,6 +89,27 @@ def _odd_count(lo: int, hi: int) -> int:
     if first >= hi:
         return 0
     return (hi - 1 - first) // 2 + 1
+
+
+# The kernels AND shifted flags in chunks of this many odds: a chunk's
+# temporary is reused from the thread's heap, where a segment-long one
+# per segment would grow the process's resident memory.
+_AND_CHUNK = 1 << 16
+
+
+def instance_chunks(bits: np.ndarray, m: int,
+                    shifts: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (i, flags) over [0, m) in order: flags[k] is True when bits[i
+    + k + s] is for s = 0 and every shift (a view of bits if none)."""
+    for i in range(0, m, _AND_CHUNK):
+        j = min(i + _AND_CHUNK, m)
+        flags = bits[i:j]
+        for k, s in enumerate(shifts):
+            if k:
+                flags &= bits[i + s:j + s]
+            else:
+                flags = flags & bits[i + s:j + s]
+        yield i, flags
 
 
 def prime_values(lo: int, bits: np.ndarray) -> np.ndarray:
@@ -121,8 +163,10 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
     reusable buffer at least as long as the segment; the returned array
     is then a view into it, valid until the next fill.
 
-    Each odd base prime p crosses off its odd multiples from max(p*p,
-    lo + 1) on, by one of three methods for a segment of n odds:
+    The segment starts as a copy of the wheel pattern, which crosses off
+    every odd multiple of 3 .. 17, with each wheel prime inside it set
+    back.  Every larger odd base prime p crosses off its odd multiples from
+    max(p*p, lo + 1) on, by one of three methods for a segment of n odds:
 
     - p < BLOCK // 64 (and below the next cut-off): one slice per prime
       and per cache-sized block of BLOCK odds, block by block;
@@ -143,7 +187,6 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
     else:
         buf = np.empty(n + 1, dtype=bool)
     bits = buf[:n]
-    bits[:] = True
     if n == 0:
         return bits if out is None else out[:0]
     top = isqrt(hi - 1)
@@ -154,6 +197,16 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
     # does is short unless it holds every odd prime <= top
     if top >= 3 and last < top and len(ps) < len(small_primes(top)) - 1:
         raise ValueError("base prime table too small for segment")
+    # odd index lo // 2 + i is bit i, so the pattern repeats from one offset
+    wheel = _wheel_pattern()
+    off = (lo >> 1) % _WHEEL_PERIOD
+    for s in range(0, n, _WHEEL_PERIOD):
+        m = min(_WHEEL_PERIOD, n - s)
+        bits[s:s + m] = wheel[off:off + m]
+    for p in _WHEEL:
+        if lo < p < hi:
+            bits[(p - lo - 1) >> 1] = True
+    ps = ps[np.searchsorted(ps, _WHEEL[-1], side="right"):]
     # index of each prime's first odd multiple >= max(p*p, lo + 1): the
     # first multiple >= lo + 1 sits d = -(lo + 1) mod p past it, and the
     # next one after it when d is odd
@@ -222,7 +275,11 @@ class Walk:
     The window check and base table are built once, so shards on several
     threads share them.  segments(lo, hi), lo even, yields (seg_lo,
     seg_hi, bits) tiling [lo, hi); bits marks the odds of [seg_lo,
-    seg_hi + reach) in a buffer reused by the next step.
+    seg_hi + reach) in a buffer reused by the next step.  A finished walk
+    leaves its buffer for the next one, so concurrent walks (one per
+    thread) hold one buffer each.  A buffer holds a whole segment, but its
+    pages are touched, and so resident, only as far as the longest walk
+    it served.
     """
 
     def __init__(self, top: int, cfg: Config, reach: int = 0):
@@ -230,13 +287,20 @@ class Walk:
         self.span = 2 * cfg.segment_odds
         self.reach = reach
         self.base = small_primes(max(isqrt(top + reach - 1), 3))
+        self._spare: list[np.ndarray] = []  # list.pop and append are atomic
 
     def segments(self, lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
-        buf = np.empty(self.span // 2 + (self.reach >> 1) + 1, dtype=bool)
-        for seg_lo in range(lo, hi, self.span):
-            seg_hi = min(seg_lo + self.span, hi)
-            yield seg_lo, seg_hi, fill_segment(seg_lo, seg_hi + self.reach,
-                                               self.base, out=buf)
+        try:
+            buf = self._spare.pop()
+        except IndexError:
+            buf = np.empty(self.span // 2 + (self.reach >> 1) + 1, dtype=bool)
+        try:
+            for seg_lo in range(lo, hi, self.span):
+                seg_hi = min(seg_lo + self.span, hi)
+                yield seg_lo, seg_hi, fill_segment(
+                    seg_lo, seg_hi + self.reach, self.base, out=buf)
+        finally:
+            self._spare.append(buf)
 
 
 def _prime_arrays(limit: int, cfg: Config | None) -> Iterator[np.ndarray]:

@@ -20,6 +20,7 @@ from primelab.checkpoint import read_history, read_latest
 from primelab.config import Config
 from primelab.errors import CheckpointError
 from primelab.gaps import _GapStats, hunt_gap, scan_gaps
+from primelab.sieve import BLOCK
 
 from conftest import naive_sieve, naive_window
 
@@ -107,7 +108,7 @@ def test_interrupt_at_any_chunk_then_resume(job, at, written, tmp_path,
     assert run(path) == fresh  # and again, from the finished file
 
 
-def test_hunt_gap_thread_invariance():
+def test_hunt_gap_thread_invariance(monkeypatch):
     ps = naive_sieve(2 * 10**5 + 100)
     firsts = {}
     for a, b in zip(ps, ps[1:]):
@@ -122,12 +123,14 @@ def test_hunt_gap_thread_invariance():
             high_firsts.setdefault(b - a, a)
     high_gaps = (2, 64, 100, 132, 200)
     want += [high_firsts.get(g) for g in high_gaps]
+    shards = _spy_shards(monkeypatch)
     interval = sys.getswitchinterval()
     # 8 threads on short switches: shards that stop early must never
     # hide an earlier hit
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 2, 8):
+            shards[:] = []
             cfg = Config(segment_bytes=1 << 10, threads=threads)
             got = [hunt_gap(g, 2 * 10**5, cfg=cfg, checkpoint_stride=STRIDE)
                    for g in gaps]
@@ -135,6 +138,10 @@ def test_hunt_gap_thread_invariance():
             got += [hunt_gap(g, 10**9 + 2 * 10**5, start=10**9, cfg=cfg,
                              checkpoint_stride=STRIDE) for g in high_gaps]
             assert [r and r.p for r in got] == want
+            # every whole chunk runs several shards, so an early stop in
+            # one shard has later shards to cut short
+            whole = [len(c) for c in shards if c[-1][1] - c[0][0] == STRIDE]
+            assert whole and min(whole) == (1 if threads == 1 else 8)
     finally:
         sys.setswitchinterval(interval)
 
@@ -227,25 +234,99 @@ def test_traced_layers_resolve():
                 assert callable(getattr(mod, name, None)), f"{layer}.{name}"
 
 
-def test_every_kernel_shards_by_threads(monkeypatch):
-    # a chunk splits into 4 shards per thread, Brun's as the census's
+def _spy_shards(monkeypatch) -> list:
+    """Record the shards of every chunk scan() hands to run_sharded."""
     shards = []
     real = scan_mod.run_sharded
 
     def spy(worker, parts, threads):
-        shards.append(len(parts))
+        shards.append(list(parts))
         return real(worker, parts, threads)
 
     monkeypatch.setattr(scan_mod, "run_sharded", spy)
-    cfg = Config(segment_bytes=1 << 10, threads=2)
+    return shards
+
+
+def _check_shard_rule(chunks, cfg):
+    # at most 4 shards per thread, at least one per thread where the chunk
+    # holds that many, none shorter than min(segment, BLOCK odds); one
+    # shard on one thread
+    least = 2 * min(cfg.segment_odds, BLOCK)
+    for parts in chunks:
+        lo, hi = parts[0][0], parts[-1][1]
+        assert [a for a, _ in parts[1:]] == [b for _, b in parts[:-1]]
+        if cfg.threads == 1:
+            assert len(parts) == 1
+            continue
+        assert len(parts) <= 4 * cfg.threads
+        assert len(parts) >= min(cfg.threads, (hi - lo) // least)
+        if len(parts) > 1:
+            assert min(b - a for a, b in parts) >= least
+            assert all(a % 2 == 0 for a, _ in parts)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_every_kernel_shards_by_threads(monkeypatch, threads):
+    # Brun, the census and the gap scan shard a chunk alike
+    shards = _spy_shards(monkeypatch)
+    cfg = Config(segment_bytes=1 << 10, threads=threads)
     span = 2 * cfg.segment_odds
-    brun_partial(4 * span, cfg=cfg, checkpoint_stride=span)
-    brun, shards[:] = shards[:], []
-    count_pairs_2k(1, 4 * span, cfg=cfg, checkpoint_stride=span)
-    census, shards[:] = shards[:], []
-    scan_gaps(4 * span, cfg=cfg, checkpoint_stride=span)
-    assert brun == census == shards
-    assert brun[0] == 8
+    got = {}
+    for stride in (1, 3, 7, 40):
+        limit = 45 * span + 1000
+        brun_partial(limit, cfg=cfg, checkpoint_stride=stride * span)
+        brun, shards[:] = shards[:], []
+        count_pairs_2k(1, limit, cfg=cfg, checkpoint_stride=stride * span)
+        census, shards[:] = shards[:], []
+        scan_gaps(limit, cfg=cfg, checkpoint_stride=stride * span)
+        assert [len(c) for c in brun] == [len(c) for c in census] == [
+            len(c) for c in shards]
+        for chunks in (brun, census, shards):
+            _check_shard_rule(chunks, cfg)
+        got[stride] = [len(c) for c in census]
+        shards[:] = []
+    if threads == 1:
+        assert set(got[40]) == {1}
+    else:
+        # strides of 1 and 3 segments give a chunk fewer than t or 4t
+        # shortest shards; 40 segments give 4t shards
+        assert got[1][0] == 1
+        assert got[3][0] == 3
+        assert got[40][0] == 4 * threads
+
+
+def test_shards_at_default_segments_are_one_block(monkeypatch):
+    # 4 MiB segments, a chunk of one segment on 2 threads: 4 shards of
+    # BLOCK odds each, not 8 half-blocks
+    shards = _spy_shards(monkeypatch)
+    cfg = Config(threads=2)
+    span = 2 * cfg.segment_odds
+    limit = 2 * span + 1  # [2, limit + 1) is two whole chunks
+    rows = count_pairs_2k(1, limit, cfg=cfg, checkpoint_stride=span).rows
+    assert [len(c) for c in shards] == [4, 4]
+    assert {b - a for c in shards for a, b in c} == {2 * BLOCK}
+    _check_shard_rule(shards, cfg)
+    assert rows == count_pairs_2k(1, limit, cfg=Config()).rows
+
+
+def test_results_identical_for_any_threads_and_stride():
+    limit = 2 * 10**6
+    marks = [1000, 123457, 10**6, 1234567, limit]
+    want = None
+    for threads in (1, 2, 3, 8):
+        cfg = Config(segment_bytes=1 << 10, threads=threads)
+        span = 2 * cfg.segment_odds
+        for segments in (1, 4, 64):
+            stride = segments * span
+            rows = brun_partial(limit, marks, cfg=cfg, checkpoint_stride=stride)
+            got = (count_pairs_2k(1, limit, marks, cfg=cfg,
+                                  checkpoint_stride=stride).rows,
+                   [(r.limit, r.sum, r.pair_count) for r in rows],
+                   scan_gaps(limit, cfg=cfg, checkpoint_stride=stride))
+            if want is None:
+                want = got
+            assert got == want, (threads, segments)
+    assert want[0][-1] == (limit, 14871)  # pi2(2e6), independent of the runs
 
 
 LOW_MARKS = MARKS[:2]  # every mark far below the limit of 2e5

@@ -10,6 +10,8 @@ import pytest
 
 from primelab.cli import main
 
+from conftest import naive_sieve
+
 ROOT = Path(__file__).resolve().parent.parent
 SEVENTEEN_DIGITS = "10000000000000001"  # 10**16 + 1, not a float
 
@@ -43,6 +45,18 @@ def test_scripts_reject_fractions(argv):
     out = run_script(*argv)
     assert out.returncode == 2
     assert "not an integer: '1.5'" in out.stderr
+
+
+@pytest.mark.parametrize("limit", [500, 999, 1000])
+def test_twin_census_below_the_first_decade(limit):
+    # no decade mark lies at or below 999: the limit is the only row
+    out = run_script("scripts/twin_census_extended.py", "--limit", str(limit))
+    assert out.returncode == 0, out.stderr
+    ps = set(naive_sieve(limit + 2))
+    count = sum(1 for p in ps if p <= limit and p + 2 in ps)
+    ref = "35,yes" if limit == 1000 else ","
+    assert out.stdout.splitlines() == ["limit,count,published,match",
+                                       f"{limit},{count},{ref}"]
 
 
 def test_gap_hunt_not_found_is_not_a_violation(capsys):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 from math import isqrt
 
@@ -175,6 +178,24 @@ _width = st.integers(0, 22).flatmap(
 # p*p <= lo, and the squares of 65599 .. 65657 (eight primes) lie inside
 # the window
 @example(lo=65599**2 - 1 - 2 * 1000, n=FULL_SEGMENT_ODDS, reuse=False, seed=7)
+# wheel primes 3 .. 17 inside the segment, whose pattern bits are set back
+@example(lo=2, n=8, reuse=True, seed=10)
+@example(lo=4, n=20, reuse=False, seed=11)
+@example(lo=16, n=1, reuse=False, seed=12)  # 17 alone
+# hi <= 289: 17 is past isqrt(hi - 1) but still in the pattern
+@example(lo=2, n=143, reuse=False, seed=13)
+@example(lo=16, n=136, reuse=True, seed=14)
+@example(lo=4, n=142, reuse=True, seed=15)
+# lo / 2 at, just below and just above a multiple of the wheel period
+@example(lo=2 * 255255 * 3, n=1000, reuse=False, seed=16)
+@example(lo=2 * 255255 * 3 - 2, n=1000, reuse=True, seed=17)
+@example(lo=2 * 255255 * 3 + 2, n=1000, reuse=False, seed=18)
+@example(lo=2 * 255255 * 3917740 - 2, n=255255 + 3, reuse=True, seed=19)
+@example(lo=2 * 255255 * 3917740 + 2, n=2, reuse=False, seed=20)
+# longer than two wheel periods: the pattern is copied in whole periods
+@example(lo=2 * (255255 * 7 - 5), n=3 * 255255 + 7, reuse=True, seed=21)
+@example(lo=2 * 255255 * 40 + 2 * 255254, n=2 * 255255 + 1, reuse=False,
+         seed=22)
 def test_fill_segment_bit_identical_to_slice_loop(base_1e15, lo, n, reuse,
                                                    seed):
     hi = lo + 2 * n
@@ -231,6 +252,31 @@ def test_fill_segment_base_table_check(monkeypatch):
                 fill_segment(lo, hi, np.delete(full, drop))
         with pytest.raises(ValueError, match="too small"):
             fill_segment(8, 16, full[:1])  # isqrt(15) = 3 is missing
+        # the wheel primes come from a pattern, not the table, but a
+        # table without them is still too small
+        for short in ([2, 3], [2, 5]):
+            with pytest.raises(ValueError, match="too small"):
+                fill_segment(30, 40, np.array(short, dtype=np.int64))
+        assert fill_segment(30, 40, full[:3]).tolist() == [
+            naive_is_prime(v) for v in range(31, 40, 2)]
+
+
+def test_wheel_pattern_read_only_and_built_on_first_use():
+    import primelab.sieve as sieve
+    pat = sieve._wheel_pattern()
+    odd = 2 * np.arange(2 * 255255) + 1
+    assert np.array_equal(pat, np.gcd(odd, 3 * 5 * 7 * 11 * 13 * 17) == 1)
+    assert sieve._wheel_pattern() is pat
+    with pytest.raises(ValueError):
+        pat[0] = False
+    # a fresh import leaves it unbuilt
+    code = ("import primelab, primelab.sieve as s; "
+            "print(s._wheel_pattern.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(sieve.__file__))
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]
 
 
 def test_odd_prime_flags_layout(prime_set_1e6):
