@@ -90,7 +90,10 @@ def test_known_decade_values():
 def test_exact_oracle(twin_pairs_1e6, rng):
     # N/2**128 <= S < (N + 2*pairs)/2**128, and the printed string reads
     # back to the 64-bit value nearest the exact sum S
-    marks = sorted(set(rng.sample(range(5, 10**6 + 1), 40)) | set(ORACLE_MARKS))
+    # and on both sides of each edge of the kernel's 2**16-odd chunks
+    edges = {131072 * k + d for k in range(1, 8) for d in range(-2, 5)}
+    marks = sorted(set(rng.sample(range(5, 10**6 + 1), 40)) | set(ORACLE_MARKS)
+                   | edges)
     exact, done = Fraction(0), 0
     for r in brun_partial(10**6, marks):
         upto = [p for p in twin_pairs_1e6[done:] if p <= r.limit]

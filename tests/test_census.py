@@ -1,4 +1,5 @@
 import itertools
+from bisect import bisect_right
 from math import isqrt
 
 import pytest
@@ -68,6 +69,20 @@ def test_all_small_patterns_vs_brute_force(prime_set_padded):
         checked += 1
     # 1 single + 6 pairs + 11 triples + 8 quadruples survive admissibility
     assert checked == 26
+
+
+def test_marks_at_chunk_edges_vs_brute_force():
+    # the census ANDs flags in chunks of 2**16 odds, so with one segment
+    # from 2 the odd 131072k + 1 ends chunk k - 1: marks on both sides
+    limit = 3 * 10**5
+    marks = sorted({131072 * k + d for k in (1, 2) for d in range(-2, 5)}
+                   | {limit})
+    prime_set = set(naive_sieve(limit + 16))
+    for offs in [(0,), (0, 2), (0, 2, 6), (0, 4, 6, 10)]:
+        starts = [n for n in range(2, limit + 1)
+                  if all((n + o) in prime_set for o in offs)]
+        want = [(m, bisect_right(starts, m)) for m in marks]
+        assert list(count_pattern(offs, limit, marks).rows) == want, offs
 
 
 def test_known_constellation_counts():

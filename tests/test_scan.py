@@ -271,9 +271,9 @@ def test_every_kernel_shards_by_threads(monkeypatch, threads):
     shards = _spy_shards(monkeypatch)
     cfg = Config(segment_bytes=1 << 10, threads=threads)
     span = 2 * cfg.segment_odds
+    limit = 45 * span + 1000
     got = {}
     for stride in (1, 3, 7, 40):
-        limit = 45 * span + 1000
         brun_partial(limit, cfg=cfg, checkpoint_stride=stride * span)
         brun, shards[:] = shards[:], []
         count_pairs_2k(1, limit, cfg=cfg, checkpoint_stride=stride * span)
@@ -288,8 +288,8 @@ def test_every_kernel_shards_by_threads(monkeypatch, threads):
     if threads == 1:
         assert set(got[40]) == {1}
     else:
-        # strides of 1 and 3 segments give a chunk fewer than t or 4t
-        # shortest shards; 40 segments give 4t shards
+        # a chunk of 1 or 3 shortest shards splits into 1 or 3 shards,
+        # one of 40 into 4t
         assert got[1][0] == 1
         assert got[3][0] == 3
         assert got[40][0] == 4 * threads
