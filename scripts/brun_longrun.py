@@ -18,7 +18,7 @@ import sys
 import time
 
 from primelab.brun import brun_partial, brun_table_report, estimate_marks
-from primelab.cli import _emit, int_arg
+from primelab.cli import _emit, exit_status, int_arg
 from primelab.config import Config, resolve
 from primelab.scan import decade_marks
 
@@ -31,7 +31,10 @@ def main() -> int:
     ap.add_argument("--stride", type=int_arg, default=1 << 30)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
+    return exit_status(lambda: run(args))
 
+
+def run(args) -> int:
     cfg = resolve(Config(), threads=args.threads)
     marks = {*estimate_marks(args.limit), *decade_marks(args.limit),
              args.limit}

@@ -21,7 +21,7 @@ import argparse
 import sys
 import time
 
-from primelab.cli import int_arg
+from primelab.cli import exit_status, int_arg
 from primelab.gaps import hunt_gap
 from primelab.refdata import GAP_1132, GAP_778
 
@@ -52,7 +52,10 @@ def main() -> int:
         if args.gap is None or args.stop is None:
             ap.error("need --preset or both --gap and --stop")
         gap, stop = args.gap, args.stop
+    return exit_status(lambda: run(args, gap, stop, reference))
 
+
+def run(args, gap: int, stop: int, reference) -> int:
     t0 = time.time()
     rec = hunt_gap(gap, stop, start=args.start,
                    checkpoint_path=args.checkpoint,

@@ -26,8 +26,7 @@ import time
 
 from primelab.census import twin_form_search
 from primelab.checkpoint import Checkpoint, write_checkpoint
-from primelab.cli import int_arg
-from primelab.errors import CheckpointError
+from primelab.cli import exit_status, int_arg
 from primelab.refdata import RECORD_TWINS
 from primelab.scan import resume
 from primelab.sieve import prp_test
@@ -64,7 +63,10 @@ def main() -> int:
     ap.add_argument("--verify-records", action="store_true")
     ap.add_argument("--max-digits", type=int, default=3000)
     args = ap.parse_args()
+    return exit_status(lambda: run(args))
 
+
+def run(args) -> int:
     if args.verify_records:
         return verify_records(args.max_digits)
 
@@ -72,11 +74,7 @@ def main() -> int:
     pos = args.k_lo
     found: list[list[int]] = []
     if args.checkpoint:
-        try:
-            cp = resume(args.checkpoint, task)
-        except CheckpointError as exc:
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return 2
+        cp = resume(args.checkpoint, task)
         if cp is not None:
             pos = cp.range_done + 1
             found = [[int(a) for a in row] for row in cp.payload["found"]]

@@ -13,13 +13,14 @@ import json
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import Callable
 
 from . import brun as brun_mod
 from . import census, constants, gaps, goldbach, reports
 from .config import Config, from_file, resolve
 from .errors import CheckpointError, MathViolationError, ResourceLimitError
 
-__all__ = ["main", "build_parser", "int_arg"]
+__all__ = ["main", "build_parser", "int_arg", "exit_status"]
 
 
 def int_arg(text: str) -> int:
@@ -497,11 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_status(run: Callable[[], int]) -> int:
+    """run()'s status, or the status of the exception it raised: 1 for a
+    mathematical violation only, 2 for usage, checkpoint and resource
+    errors, 3 for anything else.  The scripts' mains end here too."""
     try:
-        return args.func(args)
+        return run()
     except MathViolationError as exc:
         print(f"mathematical violation: {exc}", file=sys.stderr)
         return 1
@@ -519,6 +521,11 @@ def main(argv: list[str] | None = None) -> int:
         # status 1 must keep meaning "violation", so a crash gets its own
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_status(lambda: args.func(args))
 
 
 if __name__ == "__main__":

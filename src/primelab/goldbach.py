@@ -1,22 +1,36 @@
 """Two-prime decompositions of even numbers, at desk scale.
 
 Verification works by elimination (the least-p method of Oliveira e
-Silva, Herzog and Pardi, Math. Comp. 83 (2014)): every even n in a
-block starts unrepresented, and ascending odd primes q knock out the n
-for which n - q is prime.  For one q those n - q are consecutive odds,
-so while many evens survive a step is one contiguous slice AND of the
-odd-prime table against the block's survivor mask.  Once about 1/50 of
-the block is left, the survivors are compressed to their values and
-each later q gathers only their flags.  Anything that survives the
-small primes gets an exhaustive per-prime check before it may be called
-a violation.
+Silva, Herzog and Pardi, Math. Comp. 83 (2014), who also sieve
+bit-packed windows): each block of 2**21 evens starts unrepresented,
+and ascending odd primes q knock out the n for which n - q is prime.
+
+For one q those n - q are consecutive odds, so the dense steps work on
+packed words.  The block's survivors are one bit per even in
+little-endian 64-bit words, the last word masked to the block.  The
+window of the odd-prime table that the primes q < 2**14 read for the
+block is packed the same way, inverted to composite bits, and padded
+with all-ones guard words, so an n - q below 3 or past the table reads
+"not prime".  A step is then one funnel shift of that window (two shifts
+and an OR, or none when the offset is a whole word) and one in-place AND
+over the block's 2**15 words.  Every 8 primes the nonzero words are
+counted; once at most 1/64 of them is left, or q's offset leaves the
+window, the survivors are read word by word (only nonzero words are
+unpacked) and each later q gathers only their flags.  Anything that
+survives the small primes gets an exhaustive per-prime check before it
+may be called a violation.
+
+Memory: a full block holds four arrays of 256 KiB (the packed window,
+the survivor words and two shift buffers), made for that block and
+dropped after it, where a byte per even took 2 MiB; nothing packed is
+kept between blocks or calls.
 
 Representation counts are computed two independent ways (per-prime
 lookup and a complement scan) so the printed numbers never rest on a
-single code path; both read the one odd-prime table.  That table is
-built once per process: it holds (limit + 1) / 2 bytes for the largest
-limit asked for so far, is read-only, and is rebuilt only when a larger
-limit is asked for.
+single code path; both read the one odd-prime table.  That byte table
+is the only one the process keeps: it holds (limit + 1) / 2 bytes for
+the largest limit asked for so far, is read-only, and is rebuilt only
+when a larger limit is asked for.
 """
 from __future__ import annotations
 
@@ -43,9 +57,14 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 22
-# the dense slice-AND steps end once at most 1/_SPARSE of a block
-# survives, counted every 8 primes
-_SPARSE = 50
+# the dense steps use the odd primes below _DENSE_Q, read from one packed
+# window of the table per block
+_DENSE_Q = 1 << 14
+# the dense steps end once at most 1/_SPARSE of a block's words holds a
+# survivor, counted every 8 primes
+_SPARSE = 64
+# composite bits, 64 to a word; bit b of word w is bit 64w + b of the window
+_WORD = np.dtype("<u8")
 
 # the odd-prime table this process keeps; see _odd_flags
 _flags_table: np.ndarray | None = None
@@ -81,6 +100,55 @@ def _odd_rep_exists_slow(n: int, flags: np.ndarray) -> bool:
     return False
 
 
+def _packed_composites(flags: np.ndarray, lo: int, words: int) -> np.ndarray:
+    """Words whose bit t is 0 exactly when flags[lo + t] marks a prime.
+
+    lo is a multiple of 64 and may be negative: indices outside flags
+    read as composite, so a guard of all-ones words stands in for them.
+    """
+    buf = np.zeros(8 * words, dtype=np.uint8)
+    a, b = max(lo, 0), min(lo + 64 * words, flags.size)
+    if a < b:
+        packed = np.packbits(flags[a:b], bitorder="little")
+        buf[(a - lo) >> 3:((a - lo) >> 3) + packed.size] = packed
+    np.invert(buf, out=buf)
+    return buf.view(_WORD)
+
+
+def _dense_survivors(flags: np.ndarray, qs: list[int], blo: int,
+                     m: int) -> tuple[np.ndarray, int]:
+    """(i, j): the i, ascending, for which no prime in qs[:j] knocks out
+    the even blo + 2i, i < m, with j where the dense steps stopped."""
+    nw = -(-m // 64)
+    top = (blo - 4) >> 1  # q = 3 reads the flags from here on
+    lo = ((blo - _DENSE_Q) >> 1) // 64 * 64
+    comp = _packed_composites(flags, lo, (top - lo) // 64 + nw + 1)
+    # bit i of rem: blo + 2i has no representation found yet
+    rem = np.full(nw, np.iinfo(np.uint64).max, dtype=_WORD)
+    if m % 64:
+        rem[-1] = (1 << m % 64) - 1
+    lo_bits, hi_bits = np.empty_like(rem), np.empty_like(rem)
+    j = 0
+    while j < len(qs) and (j % 8 or np.count_nonzero(rem) * _SPARSE > nw):
+        # the flags of blo + 2i - q sit at base + i
+        base = (blo - qs[j] - 1) >> 1
+        if base < lo or base + m <= 1:  # outside the window, or all < 3
+            break
+        a, s = divmod(base - lo, 64)
+        if s:
+            np.right_shift(comp[a:a + nw], s, out=lo_bits)
+            np.left_shift(comp[a + 1:a + nw + 1], 64 - s, out=hi_bits)
+            lo_bits |= hi_bits
+            rem &= lo_bits
+        else:
+            rem &= comp[a:a + nw]
+        j += 1
+    nz = np.flatnonzero(rem)
+    bits = np.flatnonzero(np.unpackbits(rem[nz].view(np.uint8),
+                                        bitorder="little"))
+    return 64 * nz[bits >> 6] + (bits & 63), j
+
+
 def _scan_evens(lo: int, hi: int, *, first_only: bool) -> list[int]:
     """Evens in [lo, hi] with no two-prime decomposition, ascending."""
     flags = _odd_flags(hi)
@@ -89,18 +157,8 @@ def _scan_evens(lo: int, hi: int, *, first_only: bool) -> list[int]:
     start = max(lo, 6)  # 4 = 2 + 2 is the one even needing the prime 2
     for blo in range(start, hi + 1, _BLOCK):
         m = (min(blo + _BLOCK - 2, hi) - blo) // 2 + 1
-        # rem[i]: blo + 2i has no representation found yet.  For prime
-        # q, the flags of blo + 2i - q sit at base + i.
-        rem = np.ones(m, dtype=bool)
-        j = 0
-        while j < len(qs) and (j % 8 or np.count_nonzero(rem) * _SPARSE > m):
-            base = (blo - qs[j] - 1) >> 1
-            k0 = max(0, 1 - base)  # first i with blo + 2i - q >= 3
-            if k0 >= m:
-                break
-            np.greater(rem[k0:], flags[base + k0:base + m], out=rem[k0:])
-            j += 1
-        vals = blo + 2 * np.flatnonzero(rem)
+        idx, j = _dense_survivors(flags, qs, blo, m)
+        vals = blo + 2 * idx
         for q in qs[j:]:
             if vals.size == 0:
                 break

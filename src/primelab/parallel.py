@@ -2,10 +2,11 @@
 
 Workers may run in any order on a thread pool, but results are merged in
 shard order, so a count over [lo, hi) is identical for any thread count.
+The caller owns the pool, so one pool can serve every chunk of a scan.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -30,9 +31,9 @@ def split_range(lo: int, hi: int, parts: int, align: int = 2) -> list[tuple[int,
 
 def run_sharded(worker: Callable[[int, int], T],
                 shards: Sequence[tuple[int, int]],
-                threads: int) -> list[T]:
-    """Run worker(lo, hi) over every shard, results in shard order."""
-    if threads <= 1 or len(shards) <= 1:
+                pool: Executor | None) -> list[T]:
+    """Run worker(lo, hi) over every shard, results in shard order: on
+    pool when there is one and more than one shard, else in this thread."""
+    if pool is None or len(shards) <= 1:
         return [worker(lo, hi) for lo, hi in shards]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: worker(*s), shards))
+    return list(pool.map(lambda s: worker(*s), shards))

@@ -6,13 +6,16 @@ into at most 4t shards, and at least t where the chunk is long enough,
 none shorter than one segment or one sieve.BLOCK of odds, whichever is
 less.  A shorter shard would cut fill_segment's cache blocks short and
 pay its per-prime Python calls for fewer integers.  Shards walk their
-segments serially (sieve.Walk), merge exactly, in range order, and the
-state is checkpointed after every chunk.  After Oliveira e Silva, Herzog
-and Pardi, Math. Comp. 83 (2014).
+segments serially (sieve.Walk) on one thread pool that serves the whole
+scan, merge exactly, in range order, and the state is checkpointed after
+every chunk.  After Oliveira e Silva, Herzog and Pardi, Math. Comp. 83
+(2014).
 """
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 from .checkpoint import Checkpoint, read_latest, write_checkpoint
 from .config import Config
@@ -111,18 +114,20 @@ def scan(lo: int, hi: int, kernel: Kernel, cfg: Config,
     chunk = max(stride, walk.span)
     chunk -= chunk % 2
     least = min(walk.span, 2 * BLOCK)  # the shortest shard, in integers
-    while pos < hi and not kernel.done(state):
-        nxt = min(pos + chunk, hi)
-        parts = 1
-        if cfg.threads > 1:
-            parts = max(1, min(4 * cfg.threads, (nxt - pos) // least))
-        shards = split_range(pos, nxt, parts)
-        for part in run_sharded(worker, shards, cfg.threads):
-            state = kernel.merge(state, part)
-        pos = nxt
-        if pos == hi:
-            state = kernel.finish(state)
-        if checkpoint_path is not None:
-            write_checkpoint(checkpoint_path, Checkpoint(
-                kernel.task_id, pos, kernel.dump(state)))
+    with (ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1
+          else nullcontext()) as pool:
+        while pos < hi and not kernel.done(state):
+            nxt = min(pos + chunk, hi)
+            parts = 1
+            if cfg.threads > 1:
+                parts = max(1, min(4 * cfg.threads, (nxt - pos) // least))
+            shards = split_range(pos, nxt, parts)
+            for part in run_sharded(worker, shards, pool):
+                state = kernel.merge(state, part)
+            pos = nxt
+            if pos == hi:
+                state = kernel.finish(state)
+            if checkpoint_path is not None:
+                write_checkpoint(checkpoint_path, Checkpoint(
+                    kernel.task_id, pos, kernel.dump(state)))
     return state

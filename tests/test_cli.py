@@ -303,3 +303,27 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     code = main(["goldbach", "verify", "--from", "4", "--to", "10"])
     assert code == 3  # not 1, which means a violation
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("exc,code,prefix", [
+    (None, 0, ""),
+    ("MathViolationError", 1, "mathematical violation: x"),
+    ("CheckpointError", 2, "checkpoint error: x"),
+    ("ValueError", 2, "error: x"),
+    ("FileNotFoundError", 2, "error: x"),
+    ("ResourceLimitError", 2, "resource limit: x (progress: None)"),
+    ("KeyError", 3, "internal error: KeyError: 'x'"),
+])
+def test_exit_status_ladder(exc, code, prefix, capsys):
+    import builtins
+
+    from primelab import errors
+    from primelab.cli import exit_status
+
+    def run():
+        if exc is None:
+            return 0
+        raise (getattr(errors, exc, None) or getattr(builtins, exc))("x")
+
+    assert exit_status(run) == code
+    assert capsys.readouterr().err == (prefix + "\n" if prefix else "")

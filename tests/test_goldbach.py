@@ -297,3 +297,136 @@ def test_shared_table_cold_equals_warm(monkeypatch, prime_set_2e4):
     assert g._flags_table.size == (10**6 + 1) // 2
     with pytest.raises(ValueError):
         g._odd_flags(100)[1] = False
+
+
+@pytest.fixture(scope="module")
+def primes_past_block():
+    return naive_sieve(_BLOCK + 2**18)
+
+
+def _bitset(members):
+    """members as one Python int, bit v set for each v."""
+    mask = bytearray(max(members, default=0) // 8 + 1)
+    for v in members:
+        mask[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(mask, "little")
+
+
+def _uneliminated(lo, hi, members, pset, qs):
+    """Evens n in [max(lo, 6), hi] such that n - q is in members (pset
+    its bitset) for no q in qs (odd, ascending), ascending.
+
+    No numpy: the first 128 q clear their evens from a bitset of the
+    window, and each even left is checked against every q.
+    """
+    left = int.from_bytes(b"\x55" * (hi // 8 + 1), "little")  # even bits
+    left &= (1 << hi + 1) - (1 << max(lo, 6))
+    for q in qs[:128]:
+        left &= ~(pset << q)
+    found = []
+    while left:
+        n = (left & -left).bit_length() - 1
+        left ^= 1 << n
+        if not any(n - q in members for q in qs):
+            found.append(n)
+    return found
+
+
+def _bare_evens(lo, hi, members, pset, odd_primes):
+    """(left, bare): what elimination by the odd primes q <= 10**6 leaves
+    of the evens in [max(lo, 6), hi], reading n - q in members, and the
+    evens of it with no odd prime p <= n/2 such that n - p is in members."""
+    top = min(hi - 2, 10**6)
+    qs = [q for q in odd_primes if q <= top]
+    left = _uneliminated(lo, hi, members, pset, qs)
+    return left, [n for n in left if not any(
+        n - p in members for p in odd_primes if p <= n // 2)]
+
+
+def _table(members, hi):
+    flags = np.zeros((hi + 1) // 2, dtype=bool)
+    flags[[p >> 1 for p in members if 2 < p <= hi]] = True
+    return flags
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (4, 64 * 1000 - 2), (4, 64 * 1000), (4, 64 * 1000 + 2),
+    (3002, 64 * 1000 - 2), (3002, 64 * 1000), (3002, 64 * 1000 + 2),
+    (4, _BLOCK - 2), (4, _BLOCK), (4, _BLOCK + 2),
+    # the second block starts at 6 + _BLOCK, holding 1, 2 and 3 evens
+    (6, _BLOCK + 6), (6, _BLOCK + 8), (6, _BLOCK + 10),
+    (123458, 123458 + _BLOCK + 2 * (64 * 3 + 9)),
+])
+def test_scan_evens_packed_edges_vs_naive(lo, hi, primes_past_block):
+    # the table holds naive_sieve's primes less every n - q, q an odd
+    # prime, for the first and last even n of every block and for 40.
+    # Such an n keeps one representation, its least q + (n - q) with q
+    # past _DENSE_Q + 1024, if it has one; else it is bare.  The window
+    # reaches about 128 past _DENSE_Q, and no two targets within a block
+    # are more than 404 apart, so no kept n - q is n' - q' for a q' in
+    # reach: every target survives every dense step.  (A bare n near 4e6
+    # would send the sparse loop through every q <= 10**6.)
+    start = max(lo, 6)
+    edges = range(start, hi + 1, _BLOCK)
+    targets = {*edges, *(min(b + _BLOCK - 2, hi) for b in edges)}
+    targets |= {40} if lo <= 40 else set()
+    odd = [p for p in primes_past_block if 2 < p <= hi]
+    odd_set = set(odd)
+    late = {n: next((q for q in odd if g._DENSE_Q + 1024 < q < n - 2
+                     and n - q in odd_set), None) for n in targets}
+    gone = {n - q for n in targets for q in odd if q < n}
+    gone -= {n - q for n, q in late.items() if q is not None}
+    members = [p for p in odd if p not in gone]
+    flags = _table(members, hi)
+    pset, members = _bitset(members), set(members)
+    left, bare = _bare_evens(lo, hi, members, pset, odd)
+    assert {n for n in targets if late[n] is None} <= set(bare)
+    qs = [q for q in odd if q <= min(hi - 2, 10**6)]
+    for blo in edges:
+        bhi = min(blo + _BLOCK - 2, hi)
+        idx, j = g._dense_survivors(flags, qs, blo, (bhi - blo) // 2 + 1)
+        assert j >= 8 or idx.size == 0
+        dense = (blo + 2 * idx).tolist()
+        assert dense == _uneliminated(blo, bhi, members, pset, qs[:j])
+        assert {blo, bhi} <= set(dense)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(g, "odd_prime_flags", lambda limit: flags[:(limit + 1) // 2].copy())
+        mp.setattr(g, "_flags_table", None)
+        assert g._scan_evens(lo, hi, first_only=False) == bare
+        assert g._scan_evens(lo, hi, first_only=True) == bare[:1]
+        # every even the elimination leaves, before the exhaustive check
+        mp.setattr(g, "_odd_rep_exists_slow", lambda n, flags: False)
+        assert g._scan_evens(lo, hi, first_only=False) == left
+
+
+@pytest.mark.parametrize("where", ["bit 0", "last partial word"])
+def test_scan_evens_lone_survivor_at_word_edges(where, monkeypatch):
+    # 202 evens: three full words and one of 10 bits.  n0 keeps one
+    # representation, via the k-th odd prime, and every other odd is
+    # "prime", so n0 is a lone survivor through the dense steps
+    lo, hi = 1000, 1000 + 2 * (64 * 3 + 10 - 1)
+    n0 = lo if where == "bit 0" else hi
+    monkeypatch.setattr(g, "_odd_rep_exists_slow", lambda n, flags: False)
+    qs = [int(q) for q in small_primes(n0 - 3)[1:]]
+    for k in range(40):
+        flags = np.ones((hi + 1) // 2, dtype=bool)
+        flags[0] = False
+        for q in qs[:k] + qs[k + 1:]:
+            flags[(n0 - q) >> 1] = False
+        monkeypatch.setattr(g, "odd_prime_flags", lambda limit: flags.copy())
+        monkeypatch.setattr(g, "_flags_table", None)
+        assert g._scan_evens(lo, hi, first_only=False) == [], qs[k]
+        flags[(n0 - qs[k]) >> 1] = False
+        monkeypatch.setattr(g, "_flags_table", None)
+        assert g._scan_evens(lo, hi, first_only=False) == [n0], qs[k]
+
+
+def test_packed_composites_guard_and_byte_order():
+    flags = np.array([False, True, True, False, True] + [False] * 70)
+    words = g._packed_composites(flags, -64, 3)
+    assert words.dtype == np.dtype("<u8")
+    assert words[0] == np.iinfo(np.uint64).max  # guard: all composite
+    assert words[1] == ~np.uint64(0b10110)
+    # flags end at bit 75: bits 76 and up of the window read composite
+    assert words[2] == np.iinfo(np.uint64).max
+    assert words.view(np.uint8)[8] == 0xFF ^ 0b10110

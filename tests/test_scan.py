@@ -265,6 +265,28 @@ def _check_shard_rule(chunks, cfg):
             assert all(a % 2 == 0 for a, _ in parts)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_one_thread_pool_per_scan(monkeypatch, threads):
+    # a scan of many chunks starts one pool (none on one thread), and
+    # shuts it down before it returns
+    pools = []
+
+    class Counted(scan_mod.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(scan_mod, "ThreadPoolExecutor", Counted)
+    shards = _spy_shards(monkeypatch)
+    cfg = Config(segment_bytes=1 << 10, threads=threads)
+    rows = brun_partial(2 * 10**5, cfg=cfg,
+                        checkpoint_stride=4 * 2 * cfg.segment_odds)
+    assert rows[-1].pair_count == 2160  # naive_sieve agrees
+    assert len(shards) > 20
+    assert len(pools) == (threads > 1)
+    assert all(p._shutdown for p in pools)
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
 def test_every_kernel_shards_by_threads(monkeypatch, threads):
     # Brun, the census and the gap scan shard a chunk alike

@@ -47,6 +47,25 @@ def test_scripts_reject_fractions(argv):
     assert "not an integer: '1.5'" in out.stderr
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["scripts/twin_census_extended.py", "--limit", "1"], "limit must be"),
+    (["scripts/brun_longrun.py", "--limit", "1"], "need limit >= 5"),
+    (["scripts/gap_hunt.py", "--gap", "3", "--stop", "100"], "must be even"),
+    (["scripts/twin_record_search.py", "--k-hi", "10", "--checkpoint"],
+     "checkpoint error: "),
+])
+def test_scripts_usage_errors_exit_2(argv, message, tmp_path):
+    # status 1 is kept for a mathematical violation
+    if argv[-1] == "--checkpoint":
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n")
+        argv = [*argv, str(bad)]
+    out = run_script(*argv)
+    assert out.returncode == 2, out.stderr
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("limit", [500, 999, 1000])
 def test_twin_census_below_the_first_decade(limit):
     # no decade mark lies at or below 999: the limit is the only row
