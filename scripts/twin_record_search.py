@@ -27,6 +27,7 @@ import time
 from primelab.census import twin_form_search
 from primelab.checkpoint import Checkpoint, write_checkpoint
 from primelab.cli import exit_status, int_arg
+from primelab.errors import CheckpointError
 from primelab.refdata import RECORD_TWINS
 from primelab.scan import resume
 from primelab.sieve import prp_test
@@ -77,7 +78,10 @@ def run(args) -> int:
         cp = resume(args.checkpoint, task)
         if cp is not None:
             pos = cp.range_done + 1
-            found = [[int(a) for a in row] for row in cp.payload["found"]]
+            try:
+                found = [[int(a) for a in row] for row in cp.payload["found"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"malformed payload: {exc}") from exc
             print(f"# resuming at k={pos}, {len(found)} hits so far",
                   file=sys.stderr)
 

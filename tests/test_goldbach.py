@@ -427,6 +427,6 @@ def test_packed_composites_guard_and_byte_order():
     assert words.dtype == np.dtype("<u8")
     assert words[0] == np.iinfo(np.uint64).max  # guard: all composite
     assert words[1] == ~np.uint64(0b10110)
-    # flags end at bit 75: bits 76 and up of the window read composite
+    # flags[64:75] mark no prime, and indices 75 and up lie past flags
     assert words[2] == np.iinfo(np.uint64).max
     assert words.view(np.uint8)[8] == 0xFF ^ 0b10110

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from primelab.checkpoint import Checkpoint, write_checkpoint
 from primelab.cli import main
 
 from conftest import naive_sieve
@@ -52,13 +53,19 @@ def test_scripts_reject_fractions(argv):
     (["scripts/brun_longrun.py", "--limit", "1"], "need limit >= 5"),
     (["scripts/gap_hunt.py", "--gap", "3", "--stop", "100"], "must be even"),
     (["scripts/twin_record_search.py", "--k-hi", "10", "--checkpoint"],
-     "checkpoint error: "),
+     "checkpoint error: corrupt"),
+    (["scripts/twin_record_search.py", "--k-hi", "10", "--checkpoint"],
+     "checkpoint error: malformed payload"),
 ])
 def test_scripts_usage_errors_exit_2(argv, message, tmp_path):
     # status 1 is kept for a mathematical violation
     if argv[-1] == "--checkpoint":
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\n")
+        if "corrupt" in message:
+            bad.write_text("not json\n")
+        else:  # a valid line of this task, its payload without "found"
+            write_checkpoint(str(bad), Checkpoint("twin_form(b=2,e=30)@10",
+                                                  1, {}))
         argv = [*argv, str(bad)]
     out = run_script(*argv)
     assert out.returncode == 2, out.stderr
