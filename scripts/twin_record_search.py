@@ -25,11 +25,9 @@ import sys
 import time
 
 from primelab.census import twin_form_search
-from primelab.checkpoint import Checkpoint, write_checkpoint
+from primelab.checkpoint import Checkpoint, resume, write_checkpoint
 from primelab.cli import exit_status, int_arg
-from primelab.errors import CheckpointError
 from primelab.refdata import RECORD_TWINS
-from primelab.scan import resume
 from primelab.sieve import prp_test
 
 
@@ -70,18 +68,17 @@ def main() -> int:
 def run(args) -> int:
     if args.verify_records:
         return verify_records(args.max_digits)
+    if args.chunk < 1:
+        raise ValueError("--chunk must be at least 1")
 
     task = f"twin_form(b={args.base},e={args.exponent})@{args.k_hi}"
     pos = args.k_lo
     found: list[list[int]] = []
     if args.checkpoint:
-        cp = resume(args.checkpoint, task)
-        if cp is not None:
-            pos = cp.range_done + 1
-            try:
-                found = [[int(a) for a in row] for row in cp.payload["found"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(f"malformed payload: {exc}") from exc
+        got = resume(args.checkpoint, task, lambda payload, _: [
+            [int(a) for a in row] for row in payload["found"]])
+        if got is not None:
+            found, pos = got[0], got[1] + 1
             print(f"# resuming at k={pos}, {len(found)} hits so far",
                   file=sys.stderr)
 

@@ -1,10 +1,14 @@
 """Resumable-task checkpoints.
 
-Files are line-delimited JSON, one object per checkpoint, newest last.
-All numeric payload values are decimal strings so that integers of any
-size round-trip losslessly and files stay hand-inspectable.  Writes replace
-the whole file atomically (temp file + rename); a crash mid-write leaves
-the previous state intact.
+A checkpoint file holds one line of JSON: the task's latest state.  All
+numeric payload values are decimal strings so that integers of any size
+round-trip losslessly and files stay hand-inspectable.  Each write goes
+to a temp file in the same directory, which is fsynced and renamed over
+the file, and then the directory is fsynced: a crash at any instant
+leaves the previous state or the new one, and a write costs the same
+however long the run.  Files from earlier releases hold one line per
+checkpoint, newest last; they resume from their last line, and their
+next write leaves one line.
 """
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import CheckpointError
 
@@ -52,43 +57,53 @@ def _parse_line(line: str) -> Checkpoint:
     return cp
 
 
-def read_history(path: str) -> list[Checkpoint]:
-    """All checkpoints in the file, oldest first; [] if the file is absent."""
-    if not os.path.exists(path):
-        return []
-    history = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                history.append(_parse_line(line))
-    return history
-
-
 def read_latest(path: str) -> Checkpoint | None:
-    history = read_history(path)
-    return history[-1] if history else None
+    """The file's last checkpoint; None if the file is absent or empty."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in fh if line.strip()]
+    except FileNotFoundError:
+        return None
+    return _parse_line(lines[-1]) if lines else None
+
+
+def resume(path: str, task_id: str,
+           load: Callable[[dict, int], object]) -> tuple | None:
+    """(load(payload, range_done), range_done) of the file's checkpoint,
+    which must be task_id's; None if there is none.  A payload that load
+    cannot read (KeyError, TypeError, ValueError) is a CheckpointError."""
+    cp = read_latest(path)
+    if cp is None:
+        return None
+    if cp.task_id != task_id:
+        raise CheckpointError(
+            f"checkpoint file belongs to task {cp.task_id!r}, not {task_id!r}")
+    try:
+        return load(cp.payload, cp.range_done), cp.range_done
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed payload: {exc}") from exc
 
 
 def write_checkpoint(path: str, cp: Checkpoint) -> None:
-    """Append a checkpoint, enforcing monotone progress for the same task."""
-    history = read_history(path)
-    if history:
-        last = history[-1]
-        if last.task_id != cp.task_id:
-            raise CheckpointError(
-                f"checkpoint file belongs to task {last.task_id!r}, "
-                f"not {cp.task_id!r}")
-        if cp.range_done < last.range_done:
-            raise CheckpointError("range_done must not decrease")
-    lines = [c.to_json() for c in history] + [cp.to_json()]
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    """Replace the file's state by cp, enforcing monotone progress for the
+    same task."""
+    last = resume(path, cp.task_id, lambda payload, done: done)
+    if last is not None and cp.range_done < last[1]:
+        raise CheckpointError("range_done must not decrease")
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(cp.to_json() + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)

@@ -17,9 +17,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
-from .checkpoint import Checkpoint, read_latest, write_checkpoint
+from .checkpoint import Checkpoint, resume, write_checkpoint
 from .config import Config
-from .errors import CheckpointError
 from .parallel import run_sharded, split_range
 from .sieve import BLOCK, Walk
 
@@ -45,15 +44,6 @@ def decade_marks(limit: int) -> list[int]:
         marks.append(d)
         d *= 10
     return marks
-
-
-def resume(path: str, task_id: str) -> Checkpoint | None:
-    """The file's latest checkpoint (None if none); it must be task_id's."""
-    cp = read_latest(path)
-    if cp is not None and cp.task_id != task_id:
-        raise CheckpointError(
-            f"checkpoint file belongs to task {cp.task_id!r}, not {task_id!r}")
-    return cp
 
 
 class Kernel:
@@ -87,13 +77,9 @@ def scan(lo: int, hi: int, kernel: Kernel, cfg: Config,
     """
     state, pos = kernel.empty(), lo
     if checkpoint_path is not None:
-        cp = resume(checkpoint_path, kernel.task_id)
-        if cp is not None:
-            try:
-                state = kernel.load(cp.payload, cp.range_done)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(f"malformed payload: {exc}") from exc
-            pos = cp.range_done
+        got = resume(checkpoint_path, kernel.task_id, kernel.load)
+        if got is not None:
+            state, pos = got
     walk = Walk(hi, cfg, kernel.reach)
     first_done = [hi]  # lowest start of a shard found done
     lock = threading.Lock()

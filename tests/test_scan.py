@@ -6,7 +6,9 @@ fault-injection hook covers census, Brun, the gap scan and the gap hunt.
 import importlib
 import importlib.util
 import json
+import random
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,10 +18,10 @@ from fractions import Fraction
 
 from primelab.brun import _BrunSum, brun_partial, format_sum
 from primelab.census import Pattern, _PatternCensus, count_pairs_2k
-from primelab.checkpoint import read_history, read_latest
+from primelab.checkpoint import read_latest
 from primelab.config import Config
 from primelab.errors import CheckpointError
-from primelab.gaps import _GapStats, hunt_gap, scan_gaps
+from primelab.gaps import _GapHunt, _GapStats, hunt_gap, scan_gaps
 from primelab.sieve import BLOCK
 
 from conftest import naive_sieve, naive_window
@@ -108,6 +110,54 @@ def test_interrupt_at_any_chunk_then_resume(job, at, written, tmp_path,
     assert run(path) == fresh  # and again, from the finished file
 
 
+KERNELS = {"census": _PatternCensus, "brun": _BrunSum, "hunt": _GapHunt,
+           "gaps": _GapStats}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("job", sorted(KERNELS))
+def test_interrupt_inside_a_chunk_then_resume(job, threads, tmp_path,
+                                              monkeypatch):
+    # crashes in the kernel's segment at seeded random calls, mid-chunk
+    # (8 segments per chunk), with the chunk's shards on other threads
+    run, kernel = JOBS[job], KERNELS[job]
+    fresh = run(None, threads)
+    orig = kernel.segment
+    lock = threading.Lock()
+    calls, writes = [], []
+
+    def counting(self, lo, hi, bits):
+        with lock:
+            calls.append(lo)
+        return orig(self, lo, hi, bits)
+
+    monkeypatch.setattr(kernel, "segment", counting)
+    monkeypatch.setattr(scan_mod, "write_checkpoint",
+                        lambda path, cp: writes.append(cp.range_done))
+    assert run(str(tmp_path / "whole.jsonl"), threads) == fresh
+    # a hunt on 2 threads may or may not reach a segment of its last
+    # chunk, so the crash falls in an earlier one
+    rng = random.Random(f"{job}/{threads}")
+    monkeypatch.undo()
+    for k, at in enumerate(rng.sample(
+            sorted(lo for lo in calls if lo < writes[-2]), 3)):
+
+        def crash(self, lo, hi, bits):
+            if lo == at:
+                raise Crash
+            return orig(self, lo, hi, bits)
+
+        monkeypatch.setattr(kernel, "segment", crash)
+        path = str(tmp_path / f"cut{k}.jsonl")
+        with pytest.raises(Crash):
+            run(path, threads)
+        monkeypatch.undo()
+        cp = read_latest(path)
+        assert cp is None or cp.range_done <= at
+        assert run(path, threads) == fresh
+        assert len(Path(path).read_text().splitlines()) == 1
+
+
 def test_hunt_gap_thread_invariance(monkeypatch):
     ps = naive_sieve(2 * 10**5 + 100)
     firsts = {}
@@ -164,12 +214,20 @@ OLD_LINES = {
 }
 
 
+@pytest.mark.parametrize("earlier", [0, 2])
 @pytest.mark.parametrize("name", sorted(OLD_LINES))
-def test_old_checkpoint_lines_resume(name, tmp_path):
+def test_old_checkpoint_lines_resume(name, earlier, tmp_path):
+    # earlier releases appended a line per chunk; only the last is read,
+    # and the first write of this release leaves one line
     run = JOBS[name.removesuffix("_found")]
     path = tmp_path / "old.jsonl"
-    path.write_text(OLD_LINES[name] + "\n")
+    old = json.loads(OLD_LINES[name])
+    path.write_text("".join(json.dumps({**old, "range_done": 2 + k}) + "\n"
+                            for k in range(earlier)) + OLD_LINES[name] + "\n")
     got, want = run(str(path)), run(None)
+    # a hunt that holds its find has nothing left to scan or write
+    lines = 1 + earlier if name == "hunt_found" else 1
+    assert len(path.read_text().splitlines()) == lines
     if name != "brun":
         assert got == want
         return
@@ -195,12 +253,20 @@ HUNT_LINES = {
 
 
 @pytest.mark.parametrize("name", sorted(HUNT_LINES))
-def test_hunt_checkpoint_lines_pinned(name, tmp_path):
+def test_hunt_checkpoint_lines_pinned(name, tmp_path, monkeypatch):
     path = tmp_path / "hunt.jsonl"
+    orig = scan_mod.write_checkpoint
+    lines = []
+
+    def spy(path, cp):
+        lines.append(cp.to_json())
+        orig(path, cp)
+
+    monkeypatch.setattr(scan_mod, "write_checkpoint", spy)
     JOBS[name](str(path))
-    lines = path.read_text().splitlines()
     assert len(lines) == 10  # chunks of STRIDE up to the find or the stop
     assert (lines[4], lines[-1]) == HUNT_LINES[name]
+    assert path.read_text() == lines[-1] + "\n"  # the file keeps the last
 
 
 @pytest.mark.parametrize("name, payload", [
@@ -382,9 +448,9 @@ def test_scan_ends_at_the_last_mark(job, tmp_path):
     scan_mod.scan(2, 2 * 10**5 + 1, kernel, Config(segment_bytes=1 << 10),
                   whole, STRIDE)
     assert read_latest(whole).range_done == 2 * 10**5 + 1
-    lines = len(read_history(whole))
+    finished = Path(whole).read_bytes()
     assert _low(job, whole) == fresh
-    assert len(read_history(whole)) == lines  # nothing left to scan
+    assert Path(whole).read_bytes() == finished  # nothing left to scan
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -17,12 +17,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SEVENTEEN_DIGITS = "10000000000000001"  # 10**16 + 1, not a float
 
 
-def run_script(*argv: str) -> subprocess.CompletedProcess:
+def run_script(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_scripts_keep_seventeen_digits(tmp_path):
@@ -56,21 +56,30 @@ def test_scripts_reject_fractions(argv):
      "checkpoint error: corrupt"),
     (["scripts/twin_record_search.py", "--k-hi", "10", "--checkpoint"],
      "checkpoint error: malformed payload"),
+    # a chunk below 1 never advanced: no end, and a rewrite every pass
+    (["scripts/twin_record_search.py", "--k-hi", "10", "--chunk", "0"],
+     "error: --chunk must be at least 1"),
+    (["scripts/twin_record_search.py", "--k-hi", "10", "--chunk", "-3",
+      "--checkpoint"], "error: --chunk must be at least 1"),
 ])
 def test_scripts_usage_errors_exit_2(argv, message, tmp_path):
     # status 1 is kept for a mathematical violation
+    bad = tmp_path / "bad.jsonl"
     if argv[-1] == "--checkpoint":
-        bad = tmp_path / "bad.jsonl"
         if "corrupt" in message:
             bad.write_text("not json\n")
-        else:  # a valid line of this task, its payload without "found"
+        elif "malformed" in message:
+            # a valid line of this task, its payload without "found"
             write_checkpoint(str(bad), Checkpoint("twin_form(b=2,e=30)@10",
                                                   1, {}))
         argv = [*argv, str(bad)]
-    out = run_script(*argv)
+    out = run_script(*argv, timeout=30)
     assert out.returncode == 2, out.stderr
+    assert out.stderr.splitlines() == [out.stderr.strip()]  # one line
     assert message in out.stderr
     assert "Traceback" not in out.stderr
+    if "--chunk" in argv:
+        assert not bad.exists()
 
 
 @pytest.mark.parametrize("limit", [500, 999, 1000])
