@@ -16,12 +16,15 @@ For a desk-scale demonstration try:
 
     python scripts/gap_hunt.py --gap 100 --stop 1e7 \
         --checkpoint runs/gap100.jsonl
+
+The thread count comes from PRIMELAB_THREADS, else 1.
 """
 import argparse
 import sys
 import time
 
 from primelab.cli import exit_status, int_arg
+from primelab.config import Config, resolve
 from primelab.gaps import hunt_gap
 from primelab.refdata import GAP_1132, GAP_778
 
@@ -57,7 +60,7 @@ def main() -> int:
 
 def run(args, gap: int, stop: int, reference) -> int:
     t0 = time.time()
-    rec = hunt_gap(gap, stop, start=args.start,
+    rec = hunt_gap(gap, stop, start=args.start, cfg=resolve(Config()),
                    checkpoint_path=args.checkpoint,
                    checkpoint_stride=args.stride)
     dt = time.time() - t0

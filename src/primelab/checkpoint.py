@@ -6,14 +6,16 @@ round-trip losslessly and files stay hand-inspectable.  Each write goes
 to a temp file in the same directory, which is fsynced and renamed over
 the file, and then the directory is fsynced: a crash at any instant
 leaves the previous state or the new one, and a write costs the same
-however long the run.  Files from earlier releases hold one line per
-checkpoint, newest last; they resume from their last line, and their
-next write leaves one line.
+however long the run.  The temp file takes the mode of the file it
+replaces, or the umask's default for a new file, before the rename.
+Files from earlier releases hold one line per checkpoint, newest last;
+they resume from their last line, and their next write leaves one line.
 """
 from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 from typing import Callable
@@ -91,8 +93,15 @@ def write_checkpoint(path: str, cp: Checkpoint) -> None:
     if last is not None and cp.range_done < last[1]:
         raise CheckpointError("range_done must not decrease")
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
     try:
+        os.fchmod(fd, mode)  # mkstemp creates 0600
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(cp.to_json() + "\n")
             fh.flush()

@@ -1,26 +1,23 @@
-"""The segmented scan driver: chunks, shards, checkpoints and resume.
+"""The segmented scan driver: chunks, segments, checkpoints and resume.
 
 scan() runs a Kernel over [lo, hi) in chunks of max(stride, span)
-integers.  On one thread a chunk is one shard; on t threads it splits
-into at most 4t shards, and at least t where the chunk is long enough,
-none shorter than one segment or one sieve.BLOCK of odds, whichever is
-less.  A shorter shard would cut fill_segment's cache blocks short and
-pay its per-prime Python calls for fewer integers.  Shards walk their
-segments serially (sieve.Walk) on one thread pool that serves the whole
-scan, merge exactly, in range order, and the state is checkpointed after
-every chunk.  After Oliveira e Silva, Herzog and Pardi, Math. Comp. 83
-(2014).
+integers.  A chunk is tiled from its start into segments of span
+integers (sieve.Walk), and each segment is one task: on t threads the
+tasks run on one thread pool that serves the whole scan, on one thread
+they run in this one.  Their states merge exactly, in range order, as
+they are consumed; at the first done state the chunk's tasks that have
+not started are cancelled.  The state is checkpointed after every chunk.
+After Oliveira e Silva, Herzog and Pardi, Math. Comp. 83 (2014).
 """
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 
 from .checkpoint import Checkpoint, resume, write_checkpoint
 from .config import Config
-from .parallel import run_sharded, split_range
-from .sieve import BLOCK, Walk
+from .parallel import run_sharded
+from .sieve import Walk
 
 
 def normalize_marks(limit: int, checkpoints) -> tuple[int, ...]:
@@ -81,35 +78,25 @@ def scan(lo: int, hi: int, kernel: Kernel, cfg: Config,
         if got is not None:
             state, pos = got
     walk = Walk(hi, cfg, kernel.reach)
-    first_done = [hi]  # lowest start of a shard found done
-    lock = threading.Lock()
 
-    def worker(s_lo: int, s_hi: int):
-        acc = kernel.empty()
-        if first_done[0] <= s_lo:
-            return acc  # an earlier shard is done
-        for seg in walk.segments(s_lo, s_hi):
-            acc = kernel.merge(acc, kernel.segment(*seg))
-            if kernel.done(acc):
-                with lock:
-                    first_done[0] = min(first_done[0], s_lo)
-            if first_done[0] <= s_lo:
-                break  # this shard or an earlier one is done
-        return acc
+    def task(s_lo: int, s_hi: int):
+        # one segment, its buffer held until the kernel is done with it
+        with closing(walk.segments(s_lo, s_hi)) as segs:
+            return kernel.segment(*next(segs))
 
     chunk = max(stride, walk.span)
     chunk -= chunk % 2
-    least = min(walk.span, 2 * BLOCK)  # the shortest shard, in integers
     with (ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1
           else nullcontext()) as pool:
         while pos < hi and not kernel.done(state):
             nxt = min(pos + chunk, hi)
-            parts = 1
-            if cfg.threads > 1:
-                parts = max(1, min(4 * cfg.threads, (nxt - pos) // least))
-            shards = split_range(pos, nxt, parts)
-            for part in run_sharded(worker, shards, pool):
-                state = kernel.merge(state, part)
+            segments = [(a, min(a + walk.span, nxt))
+                        for a in range(pos, nxt, walk.span)]
+            with closing(run_sharded(task, segments, pool)) as parts:
+                for part in parts:
+                    state = kernel.merge(state, part)
+                    if kernel.done(state):
+                        break  # closing cancels the segments not started
             pos = nxt
             if pos == hi:
                 state = kernel.finish(state)

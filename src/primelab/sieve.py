@@ -272,14 +272,15 @@ def _cross_large(buf: np.ndarray, n: int, starts: np.ndarray,
 class Walk:
     """The serial segment walk under every segmented scan up to top.
 
-    The window check and base table are built once, so shards on several
-    threads share them.  segments(lo, hi), lo even, yields (seg_lo,
-    seg_hi, bits) tiling [lo, hi); bits marks the odds of [seg_lo,
-    seg_hi + reach) in a buffer reused by the next step.  A finished walk
-    leaves its buffer for the next one, so concurrent walks (one per
-    thread) hold one buffer each.  A buffer holds a whole segment, but its
-    pages are touched, and so resident, only as far as the longest walk
-    it served.
+    The window check and base table are built once, so segments on
+    several threads share them.  segments(lo, hi), lo even, yields
+    (seg_lo, seg_hi, bits) tiling [lo, hi); bits marks the odds of
+    [seg_lo, seg_hi + reach) in a buffer reused by the next step.  A walk
+    holds its buffer until it is finished or closed, then leaves it for
+    the next one, so concurrent walks (one per thread) hold one buffer
+    each.  scan() walks one segment per task, so a buffer's pages are
+    touched, and so resident, as far as the longest segment it served:
+    a whole segment once the range is that long.
     """
 
     def __init__(self, top: int, cfg: Config, reach: int = 0):

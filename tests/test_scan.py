@@ -22,7 +22,6 @@ from primelab.checkpoint import read_latest
 from primelab.config import Config
 from primelab.errors import CheckpointError
 from primelab.gaps import _GapHunt, _GapStats, hunt_gap, scan_gaps
-from primelab.sieve import BLOCK
 
 from conftest import naive_sieve, naive_window
 
@@ -119,7 +118,8 @@ KERNELS = {"census": _PatternCensus, "brun": _BrunSum, "hunt": _GapHunt,
 def test_interrupt_inside_a_chunk_then_resume(job, threads, tmp_path,
                                               monkeypatch):
     # crashes in the kernel's segment at seeded random calls, mid-chunk
-    # (8 segments per chunk), with the chunk's shards on other threads
+    # (8 segments per chunk), with the chunk's other segments on other
+    # threads
     run, kernel = JOBS[job], KERNELS[job]
     fresh = run(None, threads)
     orig = kernel.segment
@@ -173,14 +173,14 @@ def test_hunt_gap_thread_invariance(monkeypatch):
             high_firsts.setdefault(b - a, a)
     high_gaps = (2, 64, 100, 132, 200)
     want += [high_firsts.get(g) for g in high_gaps]
-    shards = _spy_shards(monkeypatch)
+    tasks = _spy_tasks(monkeypatch)
     interval = sys.getswitchinterval()
-    # 8 threads on short switches: shards that stop early must never
-    # hide an earlier hit
+    # 8 threads on short switches: segments cancelled or run after a hit
+    # must never hide an earlier one
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 2, 8):
-            shards[:] = []
+            tasks[:] = []
             cfg = Config(segment_bytes=1 << 10, threads=threads)
             got = [hunt_gap(g, 2 * 10**5, cfg=cfg, checkpoint_stride=STRIDE)
                    for g in gaps]
@@ -188,10 +188,10 @@ def test_hunt_gap_thread_invariance(monkeypatch):
             got += [hunt_gap(g, 10**9 + 2 * 10**5, start=10**9, cfg=cfg,
                              checkpoint_stride=STRIDE) for g in high_gaps]
             assert [r and r.p for r in got] == want
-            # every whole chunk runs several shards, so an early stop in
-            # one shard has later shards to cut short
-            whole = [len(c) for c in shards if c[-1][1] - c[0][0] == STRIDE]
-            assert whole and min(whole) == (1 if threads == 1 else 8)
+            # every whole chunk runs 8 segment tasks, so a hit in one has
+            # later ones to cancel
+            whole = [len(c) for c in tasks if c[-1][1] - c[0][0] == STRIDE]
+            assert whole and set(whole) == {8}
     finally:
         sys.setswitchinterval(interval)
 
@@ -300,35 +300,27 @@ def test_traced_layers_resolve():
                 assert callable(getattr(mod, name, None)), f"{layer}.{name}"
 
 
-def _spy_shards(monkeypatch) -> list:
-    """Record the shards of every chunk scan() hands to run_sharded."""
-    shards = []
+def _spy_tasks(monkeypatch) -> list:
+    """Record the tasks of every chunk scan() hands to run_sharded."""
+    tasks = []
     real = scan_mod.run_sharded
 
-    def spy(worker, parts, threads):
-        shards.append(list(parts))
-        return real(worker, parts, threads)
+    def spy(worker, parts, pool):
+        tasks.append(list(parts))
+        return real(worker, parts, pool)
 
     monkeypatch.setattr(scan_mod, "run_sharded", spy)
-    return shards
+    return tasks
 
 
-def _check_shard_rule(chunks, cfg):
-    # at most 4 shards per thread, at least one per thread where the chunk
-    # holds that many, none shorter than min(segment, BLOCK odds); one
-    # shard on one thread
-    least = 2 * min(cfg.segment_odds, BLOCK)
-    for parts in chunks:
-        lo, hi = parts[0][0], parts[-1][1]
-        assert [a for a, _ in parts[1:]] == [b for _, b in parts[:-1]]
-        if cfg.threads == 1:
-            assert len(parts) == 1
-            continue
-        assert len(parts) <= 4 * cfg.threads
-        assert len(parts) >= min(cfg.threads, (hi - lo) // least)
-        if len(parts) > 1:
-            assert min(b - a for a, b in parts) >= least
-            assert all(a % 2 == 0 for a, _ in parts)
+def _check_segment_tasks(chunks, lo, hi, span):
+    # the chunks tile [lo, hi) in order, and a chunk's tasks are its
+    # segments: span integers each from the chunk start, the last cut at
+    # the chunk end
+    ends = [c[0][0] for c in chunks] + [chunks[-1][-1][1]]
+    assert (ends[0], ends[-1]) == (lo, hi)
+    for parts, a, b in zip(chunks, ends, ends[1:]):
+        assert parts == [(s, min(s + span, b)) for s in range(a, b, span)]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -343,58 +335,118 @@ def test_one_thread_pool_per_scan(monkeypatch, threads):
             pools.append(self)
 
     monkeypatch.setattr(scan_mod, "ThreadPoolExecutor", Counted)
-    shards = _spy_shards(monkeypatch)
+    tasks = _spy_tasks(monkeypatch)
     cfg = Config(segment_bytes=1 << 10, threads=threads)
     rows = brun_partial(2 * 10**5, cfg=cfg,
                         checkpoint_stride=4 * 2 * cfg.segment_odds)
     assert rows[-1].pair_count == 2160  # naive_sieve agrees
-    assert len(shards) > 20
+    assert len(tasks) > 20
     assert len(pools) == (threads > 1)
     assert all(p._shutdown for p in pools)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
-def test_every_kernel_shards_by_threads(monkeypatch, threads):
-    # Brun, the census and the gap scan shard a chunk alike
-    shards = _spy_shards(monkeypatch)
+def test_every_kernel_runs_one_task_per_segment(monkeypatch, threads):
+    # Brun, the census, the gap scan and the gap hunt split a chunk alike,
+    # whatever the thread count
+    tasks = _spy_tasks(monkeypatch)
     cfg = Config(segment_bytes=1 << 10, threads=threads)
     span = 2 * cfg.segment_odds
     limit = 45 * span + 1000
-    got = {}
     for stride in (1, 3, 7, 40):
-        brun_partial(limit, cfg=cfg, checkpoint_stride=stride * span)
-        brun, shards[:] = shards[:], []
-        count_pairs_2k(1, limit, cfg=cfg, checkpoint_stride=stride * span)
-        census, shards[:] = shards[:], []
-        scan_gaps(limit, cfg=cfg, checkpoint_stride=stride * span)
-        assert [len(c) for c in brun] == [len(c) for c in census] == [
-            len(c) for c in shards]
-        for chunks in (brun, census, shards):
-            _check_shard_rule(chunks, cfg)
-        got[stride] = [len(c) for c in census]
-        shards[:] = []
-    if threads == 1:
-        assert set(got[40]) == {1}
-    else:
-        # a chunk of 1 or 3 shortest shards splits into 1 or 3 shards,
-        # one of 40 into 4t
-        assert got[1][0] == 1
-        assert got[3][0] == 3
-        assert got[40][0] == 4 * threads
+        for run, hi in (
+                (lambda: brun_partial(limit, cfg=cfg,
+                                      checkpoint_stride=stride * span),
+                 limit + 1),
+                (lambda: count_pairs_2k(1, limit, cfg=cfg,
+                                        checkpoint_stride=stride * span),
+                 limit + 1),
+                (lambda: scan_gaps(limit, cfg=cfg,
+                                   checkpoint_stride=stride * span), limit),
+                # no gap of 200 below the limit: the hunt scans it all
+                (lambda: hunt_gap(200, limit, cfg=cfg,
+                                  checkpoint_stride=stride * span),
+                 limit + 1)):
+            tasks[:] = []
+            run()
+            _check_segment_tasks(tasks, 2, hi, span)
+            assert len(tasks[0]) == stride
 
 
-def test_shards_at_default_segments_are_one_block(monkeypatch):
-    # 4 MiB segments, a chunk of one segment on 2 threads: 4 shards of
-    # BLOCK odds each, not 8 half-blocks
-    shards = _spy_shards(monkeypatch)
+def test_default_segments_are_one_task_each(monkeypatch):
+    # 4 MiB segments, a chunk of one segment on 2 threads: one task, run
+    # in the calling thread
+    tasks = _spy_tasks(monkeypatch)
     cfg = Config(threads=2)
     span = 2 * cfg.segment_odds
     limit = 2 * span + 1  # [2, limit + 1) is two whole chunks
     rows = count_pairs_2k(1, limit, cfg=cfg, checkpoint_stride=span).rows
-    assert [len(c) for c in shards] == [4, 4]
-    assert {b - a for c in shards for a, b in c} == {2 * BLOCK}
-    _check_shard_rule(shards, cfg)
+    assert tasks == [[(2, 2 + span)], [(2 + span, limit + 1)]]
     assert rows == count_pairs_2k(1, limit, cfg=Config()).rows
+
+
+class _FirstHit(scan_mod.Kernel):
+    """The lowest segment start at or past `at`, found segment by
+    segment; it records every segment it is asked for, and blocks each
+    segment but the hit's on `gate` when one is given."""
+
+    task_id = "first_hit"
+
+    def __init__(self, at, gate=None):
+        self.at, self.gate = at, gate
+        self.calls = []
+
+    def empty(self):
+        return None
+
+    def segment(self, lo, hi, bits):
+        self.calls.append(lo)
+        if lo <= self.at < hi:
+            return lo
+        if self.gate is not None:
+            assert self.gate.wait(30)
+        return None
+
+    def merge(self, acc, part):
+        return part if acc is None else acc
+
+    def done(self, state):
+        return state is not None
+
+
+@pytest.mark.parametrize("segments_per_chunk", [2, 10])
+def test_early_stop_evaluates_no_later_segment(segments_per_chunk):
+    # one thread: segments run as the driver asks for them, so none after
+    # the hit runs, in its chunk or a later one
+    cfg = Config(segment_bytes=1 << 10)
+    span = 2 * cfg.segment_odds
+    kernel = _FirstHit(2 + 3 * span + 5)
+    got = scan_mod.scan(2, 2 + 10 * span, kernel, cfg,
+                        stride=segments_per_chunk * span)
+    assert got == 2 + 3 * span
+    assert kernel.calls == [2 + k * span for k in range(4)]
+
+
+def test_early_stop_cancels_segments_not_started(monkeypatch):
+    # two threads, one chunk of 8 segments: the first holds the hit, and
+    # every other segment blocks until the pool shuts down, so when the
+    # driver sees the hit at most two more have started; closing the
+    # results cancels the rest
+    gate = threading.Event()
+
+    class Gated(scan_mod.ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            gate.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(scan_mod, "ThreadPoolExecutor", Gated)
+    cfg = Config(segment_bytes=1 << 10, threads=2)
+    span = 2 * cfg.segment_odds
+    kernel = _FirstHit(2, gate)
+    got = scan_mod.scan(2, 2 + 8 * span, kernel, cfg, stride=8 * span)
+    assert got == 2
+    assert 2 in kernel.calls
+    assert set(kernel.calls) <= {2 + k * span for k in range(3)}
 
 
 def test_results_identical_for_any_threads_and_stride():

@@ -103,6 +103,38 @@ def test_gap_hunt_not_found_is_not_a_violation(capsys):
     assert capsys.readouterr().out == "gap,first_p\n200,\n"
 
 
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_gap_hunt_reads_the_thread_count(monkeypatch, capsys):
+    # PRIMELAB_THREADS reaches the hunt's pool; the find does not change
+    import primelab.scan as scan_mod
+
+    gap_hunt = _load_script("gap_hunt")
+    pools = []
+
+    class Counted(scan_mod.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(kwargs["max_workers"])
+
+    monkeypatch.setattr(scan_mod, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(sys, "argv", ["gap_hunt.py", "--gap", "72",
+                                      "--stop", "1e7"])
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PRIMELAB_THREADS", threads)
+        assert gap_hunt.main() == 0
+        outs.append(capsys.readouterr().out.split(" (")[0])
+    assert pools == [2]
+    assert outs == ["gap 72: first at p = 31397"] * 2
+
+
 def _line(wall, rss, attempted=10, failed=0, correct=True):
     return {"correct": correct, "attempted": attempted, "failed": failed,
             "metrics": {"wall_s": {"value": wall, "unit": "s"},
@@ -110,10 +142,7 @@ def _line(wall, rss, attempted=10, failed=0, correct=True):
 
 
 def test_bench_pairs_summary_of_canned_lines():
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _load_script("bench_pairs")
     metrics = [{"name": "wall_s", "better": "lower"},
                {"name": "peak_rss_mb", "better": "lower"}]
     pairs = [{"parent": _line(0.80, 60.0), "change": _line(0.66, 60.0)},
