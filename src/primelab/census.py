@@ -20,6 +20,7 @@ from .scan import Kernel, normalize_marks, scan
 from .sieve import (
     INT64_BOUND,
     Walk,
+    _large_hits,
     _odd_count,
     instance_chunks,
     is_prime_64,
@@ -296,9 +297,10 @@ def _class_hits(first: np.ndarray, mods: np.ndarray, m0: int, n: int):
 
     A modulus below max(64, n // 64) comes alone, as (slice, p); the
     larger ones come together as (offsets, moduli) arrays, one pass per
-    hit, compressed after every pass.  This is the split of
-    sieve.fill_segment's medium and large tiers, without its cache
-    blocks or its in-place passes over a prefix of the moduli.
+    hit, from sieve._large_hits, as in sieve.fill_segment's large tier.
+    There are no cache blocks, and a class may start anywhere in the
+    block, so _large_hits gets m = 0: no offset reaches n, where
+    fill_segment keeps a spare slot.
     """
     starts = np.remainder(first - m0, mods)
     np.maximum(starts, first - m0, out=starts)
@@ -306,13 +308,7 @@ def _class_hits(first: np.ndarray, mods: np.ndarray, m0: int, n: int):
     for i, p in zip(starts[:split].tolist(), mods[:split].tolist()):
         if i < n:
             yield slice(i, n, p), p
-    keep = starts[split:] < n
-    bi, bp = starts[split:][keep], mods[split:][keep]
-    while len(bi):
-        yield bi, bp
-        bi = bi + bp
-        keep = bi < n
-        bi, bp = bi[keep], bp[keep]
+    yield from _large_hits(starts[split:], mods[split:], n, 0)
 
 
 def count_square_plus_one(limit: int, mode: str = "prime",

@@ -23,6 +23,12 @@ large primes by separate methods:
 The prime 2 never appears in a bit array; prime_values puts it first
 for a segment that starts at 2.
 
+fill_segment is the only code that crosses off multiples.  The base
+table small_primes and the dense odd_prime_flags table are each one
+fill_segment call over [2, bound], and the m*m + 1 census in
+census.py takes its large moduli from _large_hits, the large tier's
+routine.
+
 The kernel computes in int64.  Every value it forms stays below hi plus
 the largest base prime it uses, so a window [lo, hi) is accepted only
 while that sum is below 2**63 (see check_window).
@@ -123,19 +129,19 @@ _small_prime_cache: dict[int, np.ndarray] = {}
 
 
 def small_primes(bound: int) -> np.ndarray:
-    """Dense sieve of primes <= bound, cached (read-only int64 array).
+    """Primes <= bound, cached (read-only int64 array).
 
-    One table is kept; a smaller bound gets a prefix view of it.
+    One fill_segment call over [2, bound] makes the table, with the
+    primes up to isqrt(bound) from this function as its base.  One table
+    is kept; a smaller bound gets a prefix view of it.
     """
     for b, arr in _small_prime_cache.items():
         if b >= bound:
             return arr[:np.searchsorted(arr, bound, side="right")]
-    flags = np.ones(bound + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    arr = np.flatnonzero(flags).astype(np.int64)
+    arr = np.empty(0, dtype=np.int64)
+    if bound >= 2:
+        base = small_primes(isqrt(bound))
+        arr = prime_values(2, fill_segment(2, bound + 1, base))
     arr.setflags(write=False)
     _small_prime_cache.clear()
     _small_prime_cache[bound] = arr
@@ -172,7 +178,7 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
       and per cache-sized block of BLOCK odds, block by block;
     - p < max(64, n // 64): one slice per prime over the whole segment;
     - larger p hit the segment fewer than 64 times each, and cross off
-      together, one vectorised pass per hit (_cross_large).
+      together, one vectorised pass per hit (_large_hits).
     """
     if lo % 2 != 0 or lo < 2:
         raise ValueError("segment lo must be even and >= 2")
@@ -208,11 +214,11 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
             bits[(p - lo - 1) >> 1] = True
     ps = ps[np.searchsorted(ps, _WHEEL[-1], side="right"):]
     # index of each prime's first odd multiple >= max(p*p, lo + 1): the
-    # first multiple >= lo + 1 sits d = -(lo + 1) mod p past it, and the
-    # next one after it when d is odd
-    starts = np.remainder(-(lo + 1), ps)
-    starts += (starts & 1) * ps
-    starts >>= 1
+    # odd multiples of p have odd indices (p - 1)/2 (mod p), and bit i is
+    # odd index lo/2 + i; computed in one array, as a second array this
+    # size on every call may come from freshly faulted pages
+    starts = (ps >> 1) - (lo >> 1)
+    np.remainder(starts, ps, out=starts)
     j = int(np.searchsorted(ps, isqrt(lo) + 1))  # primes with p*p > lo
     tail = ps[j:]
     np.maximum(starts[j:], (tail * tail - (lo + 1)) >> 1, out=starts[j:])
@@ -229,24 +235,28 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
     for i, p in zip(starts[blocked:split].tolist(), ps[blocked:split].tolist()):
         if i < n:
             bits[i::p] = _FALSE
-    _cross_large(buf, n, starts[split:], ps[split:], max(0, j - split))
+    for idx, _ in _large_hits(starts[split:], ps[split:], n,
+                              max(0, j - split)):
+        buf[idx] = False
     if out is not None and len(out) == n:
         out[:] = bits
         return out
     return bits
 
 
-def _cross_large(buf: np.ndarray, n: int, starts: np.ndarray,
-                 ps: np.ndarray, m: int) -> None:
-    """Cross off primes that hit buf[:n] fewer than 64 times each.
+def _large_hits(starts: np.ndarray, ps: np.ndarray, n: int,
+                m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (indices, moduli), one pair per pass, for ascending moduli
+    ps that hit [0, n) fewer than 64 times each from starts on.
 
-    starts is each prime's first index; buf[n] is a spare slot.  The
-    first m primes have p*p <= lo, so they start below p, and pass k
-    hits index starts + k*p: surely below n once (k + 1) * p <= n, and
+    The first m start below their modulus (for a prime, p*p <= lo), so
+    pass k hits starts + k*p: surely below n once (k + 1) * p <= n, and
     surely not once k * p >= n.  Pass k therefore runs over the prefix
-    of primes with k * p < n (one searchsorted for every pass), in
-    place, and sends a multiple past the segment to the spare slot.  The
-    rest, whose first hit may lie anywhere, drop out as they leave.
+    of them with k * p < n (one searchsorted for every pass), in place,
+    and sends a multiple past the end to index n, a spare slot the
+    caller must hold.  The rest, whose first hit may lie anywhere, drop
+    out as they leave, so with m = 0 no index reaches n.  The arrays are
+    updated in place after the caller has used them.
     """
     if m:
         bi, bp = starts[:m], ps[:m]
@@ -255,14 +265,14 @@ def _cross_large(buf: np.ndarray, n: int, starts: np.ndarray,
         cuts = [m] + np.searchsorted(bp, (n - 1) // passes,
                                      side="right").tolist() + [0]
         for e, e_next in zip(cuts, cuts[1:]):
-            buf[bi[:e]] = False
-            sub = bi[:e_next]  # only the primes the next pass reads
+            yield bi[:e], bp[:e]
+            sub = bi[:e_next]  # only the moduli the next pass reads
             sub += bp[:e_next]
             np.minimum(sub, n, out=sub)
     keep = starts[m:] < n
     bi, bp = starts[m:][keep], ps[m:][keep]
     while len(bi):
-        buf[bi] = False
+        yield bi, bp
         bi += bp
         keep = bi < n
         bi = bi[keep]
@@ -338,15 +348,16 @@ def count_primes(a: int, b: int, cfg: Config | None = None) -> int:
 def odd_prime_flags(limit: int) -> np.ndarray:
     """Bool array f where f[i] marks 2i+1 prime, covering odds <= limit.
 
-    Dense variant used by the Goldbach counters; costs limit/2 bytes.
+    Dense variant used by the Goldbach counters; costs limit/2 bytes.  Slot 0
+    (the odd 1) is False and the rest is one fill_segment call over
+    [2, limit], whose spare slot is the table's last; the array returned
+    is fresh and writable.
     """
     n = (limit + 1) // 2
-    flags = np.ones(n, dtype=bool)
-    flags[0] = False  # 1 is not prime
-    for p in range(3, isqrt(limit) + 1, 2):
-        if flags[p >> 1]:
-            flags[(p * p) >> 1 :: p] = False
-    return flags
+    table = np.empty(n + 1, dtype=bool)
+    table[0] = False
+    fill_segment(2, limit + 1, small_primes(isqrt(limit)), out=table[1:])
+    return table[:n]
 
 
 def is_prime_64(n: int) -> bool:

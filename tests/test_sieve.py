@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from math import isqrt
 
 import numpy as np
@@ -57,10 +58,22 @@ def test_small_primes_same_with_larger_table_cached(monkeypatch):
         big[-1] = 4
 
 
-def test_small_primes_edges():
+# every bound to 400, and the squares of the primes just past the wheel
+# primes 3 .. 17, each +- 1
+EDGE_BOUNDS = [*range(401),
+               *(q * q + d for q in (17, 19, 23) for d in (-1, 0, 1))]
+
+
+def test_small_primes_edges(monkeypatch):
+    import primelab.sieve as sieve
     assert list(small_primes(2)) == [2]
     assert list(small_primes(3)) == [2, 3]
     assert list(small_primes(1)) == []
+    for b in EDGE_BOUNDS:
+        monkeypatch.setattr(sieve, "_small_prime_cache", {})  # a cold build
+        got = small_primes(b)
+        assert got.dtype == np.int64 and not got.flags.writeable, b
+        assert got.tolist() == naive_sieve(b), b
 
 
 def test_primes_array_vs_naive(primes_1e6):
@@ -132,10 +145,10 @@ HIGHEST_LO = 10**15
 
 @pytest.fixture(scope="module")
 def base_1e15():
-    """Primes up to sqrt(1e15 + one segment), built apart from small_primes."""
+    """Primes up to sqrt(1e15 + one segment), built apart from fill_segment,
+    which makes small_primes and odd_prime_flags."""
     bound = isqrt(HIGHEST_LO + 2 * FULL_SEGMENT_ODDS) + 1
-    odd = 2 * np.flatnonzero(odd_prime_flags(bound)).astype(np.int64) + 1
-    return np.concatenate(([2], odd))
+    return np.array(naive_sieve(bound), dtype=np.int64)
 
 
 # lo is drawn decade by decade up to 1e15, which keeps most windows low
@@ -214,6 +227,31 @@ def test_fill_segment_bit_identical_to_slice_loop(base_1e15, lo, n, reuse,
         assert bool(got[i]) == sympy.isprime(lo + 1 + 2 * i), lo + 1 + 2 * i
 
 
+def test_large_hits_match_a_loop():
+    import primelab.sieve as sieve
+    rnd = np.random.default_rng(17)
+    for case in range(400):
+        n = int(rnd.integers(1, 500))
+        ps = np.sort(rnd.integers(1, 2 * n + 2, size=int(rnd.integers(1, 30))))
+        ps = np.repeat(ps, rnd.integers(1, 4, size=len(ps)))  # repeats
+        if case % 4 == 0:
+            ps += n  # every modulus past the end
+        m = int(rnd.integers(0, len(ps) + 1))
+        # the first m start below their modulus, the rest anywhere
+        starts = np.concatenate((rnd.integers(0, ps[:m]),
+                                 rnd.integers(0, 3 * n, size=len(ps) - m)))
+        want = Counter((i, p) for s, p in zip(starts.tolist(), ps.tolist())
+                       for i in range(s, n, p))
+        got = Counter()
+        for idx, mods in sieve._large_hits(starts.copy(), ps.copy(), n, m):
+            assert len(idx) == len(mods)
+            pairs = list(zip(idx.tolist(), mods.tolist()))
+            # only the spare slot n lies past the end, and only when m > 0
+            assert all(i < n or i == n and m for i, _ in pairs), case
+            got.update((i, p) for i, p in pairs if i < n)
+        assert got == want, case
+
+
 def test_fill_segment_rejects_short_out():
     base = small_primes(20)
     assert len(fill_segment(100, 200, base, out=np.empty(50, bool))) == 50
@@ -279,11 +317,21 @@ def test_wheel_pattern_read_only_and_built_on_first_use():
     assert out.stdout.split() == ["0"]
 
 
-def test_odd_prime_flags_layout(prime_set_1e6):
+def test_odd_prime_flags_layout(prime_set_1e6, monkeypatch):
+    import primelab.sieve as sieve
     flags = odd_prime_flags(10**5)
     for i in (0, 1, 2, 3, 17, 49999):
         n = 2 * i + 1
         assert bool(flags[i]) == (n in prime_set_1e6)
+    for b in EDGE_BOUNDS:
+        monkeypatch.setattr(sieve, "_small_prime_cache", {})
+        got = odd_prime_flags(b)
+        primes = set(naive_sieve(b))
+        assert got.dtype == bool and got.flags.writeable, b
+        assert got.tolist() == [2 * i + 1 in primes
+                                for i in range((b + 1) // 2)], b
+        again = odd_prime_flags(b)
+        assert not np.shares_memory(got, again), b  # a fresh table each call
 
 
 def test_is_prime_64_exhaustive_small(prime_set_1e6):
