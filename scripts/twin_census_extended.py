@@ -29,7 +29,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--limit", type=int_arg, default=10**9)
     ap.add_argument("--checkpoint", default=None,
-                    help="JSONL checkpoint path (resume + progress)")
+                    help="resumable checkpoint file (one line: the last state)")
     ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out", default=None, help="write final CSV here")
     args = ap.parse_args()

@@ -160,7 +160,6 @@ def brun_partial(limit: int, checkpoints: Sequence[int] | None = None, *,
     """
     if not 5 <= limit < (1 << 62) - 2:
         raise ValueError("need limit >= 5 and limit + 2 < 2**62")
-    cfg = (cfg or Config()).validate()
     marks = normalize_marks(limit, checkpoints)
     state = scan(2, marks[-1] + 1, _BrunSum(limit, marks), cfg,
                  checkpoint_path, checkpoint_stride)

@@ -177,7 +177,6 @@ def count_pattern(pattern, limit: int, checkpoints=None, *,
             "its census is finite and would mislead")
     if limit < 2:
         raise ValueError("limit must be at least 2")
-    cfg = (cfg or Config()).validate()
     marks = normalize_marks(limit, checkpoints)
     totals = scan(2, marks[-1] + 1, _PatternCensus(pat, limit, marks), cfg,
                   checkpoint_path, checkpoint_stride)
@@ -200,8 +199,7 @@ def count_pairs_2k(k: int, limit: int, checkpoints=None, *,
     return CountTable(f"pairs(2k={2 * k})", table.rows)
 
 
-def count_twin_almost_primes(limit: int, checkpoints=None, *,
-                             cfg: Config | None = None) -> CountTable:
+def count_twin_almost_primes(limit: int, checkpoints=None) -> CountTable:
     """Odd primes p <= limit with p + 2 having at most two prime factors.
 
     Counted with multiplicity (big Omega), so p + 2 prime, a semiprime, or
@@ -465,7 +463,6 @@ def perfect_half_sum_scan(limit: int, *,
     """
     if limit < 7:
         raise ValueError("limit must be at least 7")
-    cfg = (cfg or Config()).validate()
     perfect = set(_even_perfects_upto(limit + 1))
     out: list[tuple[int, int]] = []
     for lo, hi, bits in Walk(limit + 1, cfg, reach=2).segments(2, limit + 1):

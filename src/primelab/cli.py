@@ -98,15 +98,14 @@ def _emit(args: argparse.Namespace, doc=None, table=None) -> None:
 # sieve
 
 def _cmd_sieve(args) -> int:
-    cfg = _cfg(args)
     if args.action == "count":
         from .sieve import count_primes
-        total = count_primes(2, args.limit, cfg)
+        total = count_primes(2, args.limit, _cfg(args))
         _emit(args, {"limit": args.limit, "count": total},
               ("limit,count", [(args.limit, total)]))
     elif args.action == "primes":
         from .sieve import primes_array
-        ps = [int(p) for p in primes_array(args.limit, cfg)]
+        ps = [int(p) for p in primes_array(args.limit, _cfg(args))]
         _emit(args, {"limit": args.limit, "primes": ps},
               ("p", ((p,) for p in ps)))
     elif args.action == "factor":
@@ -130,22 +129,20 @@ def _cmd_sieve(args) -> int:
 # census
 
 def _cmd_census(args) -> int:
-    cfg = _cfg(args)
     if args.shape == "pairs":
         if args.gap < 2 or args.gap % 2:
             raise ValueError("--gap must be a positive even number")
         table = census.count_pairs_2k(args.gap // 2, args.limit,
-                                      args.checkpoints, cfg=cfg,
+                                      args.checkpoints, cfg=_cfg(args),
                                       checkpoint_path=args.checkpoint,
                                       checkpoint_stride=args.stride)
     elif args.shape == "pattern":
         table = census.count_pattern(args.offsets, args.limit,
-                                     args.checkpoints, cfg=cfg,
+                                     args.checkpoints, cfg=_cfg(args),
                                      checkpoint_path=args.checkpoint,
                                      checkpoint_stride=args.stride)
     elif args.shape == "twin-almost":
-        table = census.count_twin_almost_primes(args.limit, args.checkpoints,
-                                                cfg=cfg)
+        table = census.count_twin_almost_primes(args.limit, args.checkpoints)
     else:  # square1
         table = census.count_square_plus_one(args.limit, args.mode,
                                              args.checkpoints)
@@ -160,10 +157,9 @@ def _cmd_census(args) -> int:
 # gaps
 
 def _cmd_gaps(args) -> int:
-    cfg = _cfg(args)
     act = args.action
     if act == "scan":
-        scan = gaps.scan_gaps(args.limit, cfg=cfg)
+        scan = gaps.scan_gaps(args.limit, cfg=_cfg(args))
         firsts = sorted(scan.first_occurrences.items())
         # the JSON document carries both kinds
         _emit(args, {"first_occurrences": {str(g): p for g, p in firsts},
@@ -171,16 +167,16 @@ def _cmd_gaps(args) -> int:
               ("gap,first_p", firsts) if args.kind == "firsts" else
               ("p,gap", [(r.p, r.gap) for r in scan.maximal]))
     elif act == "first":
-        rec = gaps.first_occurrence(args.gap, args.limit, cfg=cfg)
+        rec = gaps.first_occurrence(args.gap, args.limit, cfg=_cfg(args))
         p = rec.p if rec else None
         _emit(args, {"gap": args.gap, "limit": args.limit, "first_p": p},
               ("gap,first_p", [(args.gap, p)]))
     elif act == "missing":
-        miss = gaps.missing_gaps(args.limit, args.max_gap, cfg=cfg)
+        miss = gaps.missing_gaps(args.limit, args.max_gap, cfg=_cfg(args))
         _emit(args, {"limit": args.limit, "missing": miss},
               ("gap", ((g,) for g in miss)))
     elif act == "extremes":
-        ex = gaps.normalized_gap_extremes(args.limit, cfg=cfg)
+        ex = gaps.normalized_gap_extremes(args.limit, cfg=_cfg(args))
         _emit(args, ex._asdict(), ("which,value,p,gap", [
             ("min", ex.min_value, *ex.min_witness),
             ("max", ex.max_value, *ex.max_witness)]))
@@ -197,8 +193,8 @@ def _cmd_gaps(args) -> int:
                      "hit_fraction": frac},
               ("n,exponent,hit_fraction", [(args.n, args.exponent, frac)]))
     else:  # hunt
-        rec = gaps.hunt_gap(args.gap, args.stop, start=args.start, cfg=cfg,
-                            checkpoint_path=args.checkpoint,
+        rec = gaps.hunt_gap(args.gap, args.stop, start=args.start,
+                            cfg=_cfg(args), checkpoint_path=args.checkpoint,
                             checkpoint_stride=args.stride)
         p = rec.p if rec else None
         _emit(args, {"gap": args.gap, "stop": args.stop, "found_p": p},
@@ -255,7 +251,6 @@ def _cmd_constants(args) -> int:
 # brun
 
 def _cmd_brun(args) -> int:
-    cfg = _cfg(args)
     if args.action == "extrapolate":  # text only
         v = brun_mod.brun_extrapolate(args.sum, args.limit)
         _emit(args, brun_mod.format_sum(v))
@@ -264,7 +259,7 @@ def _cmd_brun(args) -> int:
     if args.action == "table" and marks is None:
         marks = sorted(set(brun_mod.estimate_marks(args.limit))
                        | {args.limit})
-    rows = brun_mod.brun_partial(args.limit, marks, cfg=cfg,
+    rows = brun_mod.brun_partial(args.limit, marks, cfg=_cfg(args),
                                  checkpoint_path=args.checkpoint,
                                  checkpoint_stride=args.stride)
     if args.action == "partial":
@@ -335,13 +330,14 @@ def _cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (beats PRIMELAB_THREADS)")
-    common.add_argument("--segment-bytes", type=int_arg, default=None)
-    common.add_argument("--config", default=None,
-                        help="JSON config file path")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="write output to a file")
+    # only the jobs that walk segments take run settings
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--threads", type=int, default=None,
+                     help="worker threads (beats PRIMELAB_THREADS)")
+    run.add_argument("--segment-bytes", type=int_arg, default=None)
+    run.add_argument("--config", default=None, help="JSON config file path")
     # only the resumable jobs take a checkpoint file
     resumable = argparse.ArgumentParser(add_help=False)
     resumable.add_argument("--checkpoint", default=None,
@@ -354,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="prime constellation toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("sieve", parents=[common], help="basic prime tooling")
+    ps = sub.add_parser("sieve", help="basic prime tooling")
     ss = ps.add_subparsers(dest="action", required=True)
-    c = ss.add_parser("count", parents=[common])
+    c = ss.add_parser("count", parents=[common, run])
     c.add_argument("--limit", type=int_arg, required=True)
-    c = ss.add_parser("primes", parents=[common])
+    c = ss.add_parser("primes", parents=[common, run])
     c.add_argument("--limit", type=int_arg, required=True)
     c = ss.add_parser("factor", parents=[common])
     c.add_argument("--n", type=int_arg, required=True)
@@ -366,15 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int_arg, required=True)
     ps.set_defaults(func=_cmd_sieve)
 
-    pc = sub.add_parser("census", parents=[common],
-                        help="constellation counting")
+    pc = sub.add_parser("census", help="constellation counting")
     sc = pc.add_subparsers(dest="shape", required=True)
-    c = sc.add_parser("pairs", parents=[common, resumable])
+    c = sc.add_parser("pairs", parents=[common, run, resumable])
     c.add_argument("--gap", type=int_arg, default=2)
     c.add_argument("--limit", type=int_arg, required=True)
     c.add_argument("--checkpoints", type=_int_list, default=None)
     c.add_argument("--stride", type=int_arg, default=1 << 28)
-    c = sc.add_parser("pattern", parents=[common, resumable])
+    c = sc.add_parser("pattern", parents=[common, run, resumable])
     c.add_argument("--offsets", type=_offsets_arg, required=True)
     c.add_argument("--limit", type=int_arg, required=True)
     c.add_argument("--checkpoints", type=_int_list, default=None)
@@ -389,18 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--checkpoints", type=_int_list, default=None)
     pc.set_defaults(func=_cmd_census)
 
-    pg = sub.add_parser("gaps", parents=[common], help="prime gap statistics")
+    pg = sub.add_parser("gaps", help="prime gap statistics")
     sg = pg.add_subparsers(dest="action", required=True)
-    c = sg.add_parser("scan", parents=[common])
+    c = sg.add_parser("scan", parents=[common, run])
     c.add_argument("--limit", type=int_arg, required=True)
     c.add_argument("--kind", choices=("firsts", "records"), default="firsts")
-    c = sg.add_parser("first", parents=[common])
+    c = sg.add_parser("first", parents=[common, run])
     c.add_argument("--gap", type=int_arg, required=True)
     c.add_argument("--limit", type=int_arg, required=True)
-    c = sg.add_parser("missing", parents=[common])
+    c = sg.add_parser("missing", parents=[common, run])
     c.add_argument("--limit", type=int_arg, required=True)
     c.add_argument("--max-gap", type=int_arg, required=True)
-    c = sg.add_parser("extremes", parents=[common])
+    c = sg.add_parser("extremes", parents=[common, run])
     c.add_argument("--limit", type=int_arg, required=True)
     c = sg.add_parser("interval", parents=[common])
     c.add_argument("--x", type=int_arg, required=True)
@@ -410,14 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     c = sg.add_parser("short-interval", parents=[common])
     c.add_argument("--n", type=int_arg, required=True)
     c.add_argument("--exponent", type=float, default=1.5)
-    c = sg.add_parser("hunt", parents=[common, resumable])
+    c = sg.add_parser("hunt", parents=[common, run, resumable])
     c.add_argument("--gap", type=int_arg, required=True)
     c.add_argument("--stop", type=int_arg, required=True)
     c.add_argument("--start", type=int_arg, default=2)
     c.add_argument("--stride", type=int_arg, default=1 << 30)
     pg.set_defaults(func=_cmd_gaps)
 
-    pk = sub.add_parser("constants", parents=[common],
+    pk = sub.add_parser("constants",
                         help="high-precision constants and predictions")
     sk = pk.add_subparsers(dest="which", required=True)
     c = sk.add_parser("twin", parents=[common])
@@ -451,11 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--quad-digits", type=int, default=10)
     pk.set_defaults(func=_cmd_constants)
 
-    pb = sub.add_parser("brun", parents=[common],
-                        help="twin reciprocal sums")
+    pb = sub.add_parser("brun", help="twin reciprocal sums")
     sb = pb.add_subparsers(dest="action", required=True)
     for action in ("partial", "table"):
-        c = sb.add_parser(action, parents=[common, resumable])
+        c = sb.add_parser(action, parents=[common, run, resumable])
         c.add_argument("--limit", type=int_arg, required=True)
         c.add_argument("--checkpoints", type=_int_list, default=None)
         c.add_argument("--stride", type=int_arg, default=1 << 28)
@@ -464,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--limit", type=int_arg, required=True)
     pb.set_defaults(func=_cmd_brun)
 
-    pgb = sub.add_parser("goldbach", parents=[common],
-                         help="two-prime decompositions")
+    pgb = sub.add_parser("goldbach", help="two-prime decompositions")
     sgb = pgb.add_subparsers(dest="action", required=True)
     c = sgb.add_parser("verify", parents=[common])
     c.add_argument("--from", dest="lo", type=int_arg, required=True)
@@ -488,10 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--sample-n", type=int_arg, default=None)
     pgb.set_defaults(func=_cmd_goldbach)
 
-    pr = sub.add_parser("report", parents=[common],
-                        help="comparison documents")
+    pr = sub.add_parser("report", help="comparison documents")
     sr = pr.add_subparsers(dest="action", required=True)
-    c = sr.add_parser("paper-tables", parents=[common])
+    c = sr.add_parser("paper-tables", parents=[common, run])
     c.add_argument("--limit", type=int_arg, default=10**8)
     pr.set_defaults(func=_cmd_report)
 

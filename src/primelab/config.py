@@ -1,8 +1,8 @@
 """Runtime configuration.
 
-Settings travel as a frozen dataclass so worker shards can share one
-instance safely.  The JSON config file mirrors the dotted key layout,
-e.g. {"sieve": {"segment_bytes": 4194304}}.
+Settings travel as a frozen dataclass, checked when it is built, so the
+threads of one scan can share one instance safely.  The JSON config file
+mirrors the dotted key layout, e.g. {"sieve": {"segment_bytes": 4194304}}.
 """
 from __future__ import annotations
 
@@ -38,12 +38,12 @@ class Config:
         # one byte per odd-number flag in the numpy layout
         return self.segment_bytes
 
-    def validate(self) -> "Config":
+    def __post_init__(self) -> None:
+        # dataclasses.replace builds a new instance, so it is checked too
         if self.segment_bytes < 1 << 10:
             raise ValueError("segment_bytes must be at least 1 KiB")
         if self.threads < 1:
             raise ValueError("threads must be positive")
-        return self
 
 
 def from_file(path: str) -> Config:
@@ -60,7 +60,7 @@ def from_file(path: str) -> Config:
         kwargs["segment_bytes"] = int(sieve["segment_bytes"])
     if "threads" in raw:
         kwargs["threads"] = int(raw["threads"])
-    return Config(**kwargs).validate()
+    return Config(**kwargs)
 
 
 def resolve(base: Config | None = None, *, segment_bytes: int | None = None,
@@ -79,4 +79,4 @@ def resolve(base: Config | None = None, *, segment_bytes: int | None = None,
         cfg = replace(cfg, segment_bytes=segment_bytes)
     if threads is not None:
         cfg = replace(cfg, threads=threads)
-    return cfg.validate()
+    return cfg

@@ -237,7 +237,6 @@ def scan_gaps(limit: int, *, cfg: Config | None = None,
     """
     if limit < 3:
         raise ValueError("limit must be at least 3")
-    cfg = (cfg or Config()).validate()
     state = scan(2, limit, _GapStats(limit - 1), cfg, checkpoint_path,
                  checkpoint_stride)
     return GapScan(dict(sorted(state.stats.firsts.items())),
@@ -261,7 +260,6 @@ def missing_gaps(limit: int, max_gap: int, *,
         raise ValueError("max_gap must be a positive even number")
     if limit < 3:
         raise ValueError("limit must be at least 3")
-    cfg = (cfg or Config()).validate()
     state = scan(2, limit, _GapStats(limit - 1, max_gap), cfg)
     return _missing(state.stats.firsts, max_gap)
 
@@ -341,7 +339,6 @@ def normalized_gap_extremes(limit: int, *,
     """Extremes of gap / log(p) over prime starts p <= limit, with witnesses."""
     if limit < 11:
         raise ValueError("limit must be at least 11")
-    cfg = (cfg or Config()).validate()
     return scan(2, limit + 1, _GapExtremes(limit), cfg).stats
 
 
@@ -425,7 +422,6 @@ def hunt_gap(gap: int, stop: int, *, start: int = 2,
         raise ValueError("a prime gap above 1 must be even")
     if stop < start:
         raise ValueError("stop must be >= start")
-    cfg = (cfg or Config()).validate()
     state = scan(max(2, start - start % 2), stop + 1, _GapHunt(gap, stop),
                  cfg, checkpoint_path, checkpoint_stride)
     return (None if state.stats is None

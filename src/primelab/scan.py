@@ -64,14 +64,15 @@ class Kernel:
         return state
 
 
-def scan(lo: int, hi: int, kernel: Kernel, cfg: Config,
+def scan(lo: int, hi: int, kernel: Kernel, cfg: Config | None = None,
          checkpoint_path: str | None = None, stride: int = 1 << 28):
     """Run kernel over [lo, hi), lo even, and return its final state.
 
-    With checkpoint_path the state is saved after every chunk, and a run
-    that finds the file resumes from its last state; a state saved at or
-    past hi is returned as it is.
+    cfg defaults to Config().  With checkpoint_path the state is saved
+    after every chunk, and a run that finds the file resumes from its
+    last state; a state saved at or past hi is returned as it is.
     """
+    cfg = cfg or Config()
     state, pos = kernel.empty(), lo
     if checkpoint_path is not None:
         got = resume(checkpoint_path, kernel.task_id, kernel.load)

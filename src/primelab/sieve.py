@@ -23,9 +23,9 @@ large primes by separate methods:
 The prime 2 never appears in a bit array; prime_values puts it first
 for a segment that starts at 2.
 
-fill_segment is the only code that crosses off multiples.  The base
-table small_primes and the dense odd_prime_flags table are each one
-fill_segment call over [2, bound], and the m*m + 1 census in
+fill_segment is the only code that crosses off multiples.  The dense
+odd_prime_flags table is one fill_segment call over [2, bound], the
+base table small_primes is read from it, and the m*m + 1 census in
 census.py takes its large moduli from _large_hits, the large tier's
 routine.
 
@@ -121,7 +121,9 @@ def instance_chunks(bits: np.ndarray, m: int,
 def prime_values(lo: int, bits: np.ndarray) -> np.ndarray:
     """Primes marked by bits, a segment from even lo, as an int64 array;
     2 leads when lo is 2, as no bit array holds it."""
-    odds = lo + 1 + 2 * np.flatnonzero(bits).astype(np.int64)
+    odds = np.flatnonzero(bits).astype(np.int64, copy=False)
+    odds *= 2
+    odds += lo + 1
     return np.concatenate(([2], odds)) if lo == 2 else odds
 
 
@@ -131,17 +133,20 @@ _small_prime_cache: dict[int, np.ndarray] = {}
 def small_primes(bound: int) -> np.ndarray:
     """Primes <= bound, cached (read-only int64 array).
 
-    One fill_segment call over [2, bound] makes the table, with the
-    primes up to isqrt(bound) from this function as its base.  One table
-    is kept; a smaller bound gets a prefix view of it.
+    The table is read from odd_prime_flags(bound), whose base primes
+    up to isqrt(bound) come from this function; the slot of the odd 1
+    stands for the prime 2, so no copy is made to put 2 first.  One
+    table is kept; a smaller bound gets a prefix view of it.
     """
     for b, arr in _small_prime_cache.items():
         if b >= bound:
             return arr[:np.searchsorted(arr, bound, side="right")]
     arr = np.empty(0, dtype=np.int64)
     if bound >= 2:
-        base = small_primes(isqrt(bound))
-        arr = prime_values(2, fill_segment(2, bound + 1, base))
+        flags = odd_prime_flags(bound)
+        flags[0] = True  # the odd 1's slot holds the prime 2
+        arr = prime_values(0, flags)
+        arr[0] = 2
     arr.setflags(write=False)
     _small_prime_cache.clear()
     _small_prime_cache[bound] = arr
@@ -282,20 +287,21 @@ def _large_hits(starts: np.ndarray, ps: np.ndarray, n: int,
 class Walk:
     """The serial segment walk under every segmented scan up to top.
 
-    The window check and base table are built once, so segments on
-    several threads share them.  segments(lo, hi), lo even, yields
-    (seg_lo, seg_hi, bits) tiling [lo, hi); bits marks the odds of
-    [seg_lo, seg_hi + reach) in a buffer reused by the next step.  A walk
-    holds its buffer until it is finished or closed, then leaves it for
-    the next one, so concurrent walks (one per thread) hold one buffer
-    each.  scan() walks one segment per task, so a buffer's pages are
-    touched, and so resident, as far as the longest segment it served:
-    a whole segment once the range is that long.
+    Segments are cfg's size (Config() when cfg is None).  The window
+    check and base table are built once, so segments on several threads
+    share them.  segments(lo, hi), lo even, yields (seg_lo, seg_hi, bits)
+    tiling [lo, hi); bits marks the odds of [seg_lo, seg_hi + reach) in
+    a buffer reused by the next step.  A walk holds its buffer until it
+    is finished or closed, then leaves it for the next one, so concurrent
+    walks (one per thread) hold one buffer each.  scan() walks one
+    segment per task, so a buffer's pages are touched, and so resident,
+    as far as the longest segment it served: a whole segment once the
+    range is that long.
     """
 
-    def __init__(self, top: int, cfg: Config, reach: int = 0):
+    def __init__(self, top: int, cfg: Config | None = None, reach: int = 0):
         check_window(top + reach)
-        self.span = 2 * cfg.segment_odds
+        self.span = 2 * (cfg or Config()).segment_odds
         self.reach = reach
         self.base = small_primes(max(isqrt(top + reach - 1), 3))
         self._spare: list[np.ndarray] = []  # list.pop and append are atomic
@@ -318,7 +324,7 @@ def _prime_arrays(limit: int, cfg: Config | None) -> Iterator[np.ndarray]:
     """The primes <= limit, one int64 array per segment."""
     if limit < 2:
         return
-    walk = Walk(limit + 1, cfg or Config())
+    walk = Walk(limit + 1, cfg)
     for lo, _, bits in walk.segments(2, limit + 1):
         yield prime_values(lo, bits)
 
@@ -339,7 +345,7 @@ def count_primes(a: int, b: int, cfg: Config | None = None) -> int:
     """Number of primes in [a, b]."""
     if b < a or b < 2:
         return 0
-    walk = Walk(b + 1, (cfg or Config()).validate())
+    walk = Walk(b + 1, cfg)
     return (1 if a <= 2 else 0) + sum(
         int(np.count_nonzero(bits))
         for _, _, bits in walk.segments(max(a - a % 2, 2), b + 1))

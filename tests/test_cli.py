@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -240,6 +241,63 @@ def test_config_file_round_trip(tmp_path):
     bad.write_text(json.dumps({"unknown_key": 1}))
     with pytest.raises(ValueError):
         from_file(str(bad))
+
+
+def test_config_validates_at_construction(tmp_path, capsys):
+    for kwargs in ({"threads": 0}, {"segment_bytes": 1023}):
+        with pytest.raises(ValueError):
+            Config(**kwargs)
+    with pytest.raises(ValueError):
+        dataclasses.replace(Config(), threads=0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"threads": 0}))
+    with pytest.raises(ValueError):
+        from_file(str(path))
+    code = main(["census", "pairs", "--limit", "1e4", "--threads", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["error: threads must be positive"]
+
+
+def test_group_parsers_take_no_options(tmp_path, capsys):
+    # an option before the leaf is a usage error, not silently overwritten
+    out = tmp_path / "report.txt"
+    for argv in (["report", "--out", str(out), "paper-tables",
+                  "--limit", "1e3"],
+                 ["census", "--format", "json", "pairs", "--limit", "1000"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_commands_without_run_flags_ignore_the_environment(monkeypatch,
+                                                           capsys):
+    monkeypatch.setenv("PRIMELAB_THREADS", "0")
+    code, out = run(capsys, "sieve", "factor", "--n", "360")
+    assert code == 0
+    assert out == "prime,exponent\n2,3\n3,2\n5,1\n"
+    # a command that walks segments still reads it, and rejects it
+    assert main(["sieve", "count", "--limit", "100"]) == 2
+
+
+def test_threads_flag_reaches_the_scan(monkeypatch, capsys):
+    import primelab.scan as scan_mod
+    pools = []
+
+    class Counted(scan_mod.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(scan_mod, "ThreadPoolExecutor", Counted)
+    code, out = run(capsys, "census", "pairs", "--limit", "1e5",
+                    "--threads", "2", "--segment-bytes", "1024",
+                    "--stride", "8192")
+    assert code == 0 and out.splitlines()[-1] == "100000,1224"
+    assert len(pools) == 1 and pools[0]._max_workers == 2
+    assert pools[0]._shutdown
 
 
 def test_resume_byte_identical_via_cli(tmp_path, capsys, monkeypatch):

@@ -4,12 +4,15 @@
 in both `--format csv` and `--format json`, plus one `--out FILE` case and
 the stdout of `scripts/twin_census_extended.py` and `scripts/brun_longrun.py`
 (their stderr carries a timing line and is not compared). Any change to
-the bytes a user gets shows up here.
+the bytes a user gets shows up here. Each case is also run once more
+with a run flag: the leaves in WALKING must give the same bytes on 1 KiB
+segments, and every other leaf must refuse `--threads`.
 
 Re-record (only when an output change is intended, and say why):
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
+import argparse
 import json
 import os
 import subprocess
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from primelab.cli import main
+from primelab.cli import build_parser, main
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -119,6 +122,46 @@ def test_golden_file_covers_every_case(golden):
 @pytest.mark.parametrize("key", CLI_KEYS + [OUT_KEY] + SCRIPT_KEYS)
 def test_output_byte_identical(key, golden, tmp_path):
     assert run_case(key, tmp_path) == golden[key]
+
+
+# the leaves that walk segments, the only ones taking the run flags
+WALKING = {"sieve count", "sieve primes", "census pairs", "census pattern",
+           "gaps scan", "gaps first", "gaps missing", "gaps extremes",
+           "gaps hunt", "brun partial", "brun table", "report paper-tables"}
+
+
+def _leaf(case: str) -> str:
+    return " ".join(case.split()[:2])
+
+
+def _subcommands(parser) -> dict:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_every_leaf_is_classified_and_groups_take_no_options():
+    groups = _subcommands(build_parser())
+    leaves = {f"{g} {l}" for g, p in groups.items() for l in _subcommands(p)}
+    assert leaves == {_leaf(c) for c in CASES}
+    assert WALKING <= leaves
+    for name, group in groups.items():
+        opts = [a.option_strings for a in group._actions if a.option_strings]
+        assert opts == [["-h", "--help"]], name
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_run_flags_only_on_walking_leaves(case, golden, tmp_path, capsys):
+    if _leaf(case) in WALKING:
+        # results do not depend on the segment size
+        got = run_cli(f"{case} --segment-bytes 1024 --format csv", tmp_path)
+        assert got == golden[f"{case} --format csv"]
+        return
+    with pytest.raises(SystemExit) as exc:
+        main([*case.split(), "--threads", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def _record() -> None:
