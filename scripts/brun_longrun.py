@@ -22,7 +22,7 @@ import time
 
 from primelab.brun import brun_partial, brun_table_report, estimate_marks
 from primelab.cli import _emit, exit_status, int_arg
-from primelab.config import Config, resolve
+from primelab.config import Config
 from primelab.scan import decade_marks
 
 
@@ -30,7 +30,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--limit", type=int_arg, default=10**10)
     ap.add_argument("--checkpoint", default=None)
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--stride", type=int_arg, default=1 << 30)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
@@ -38,7 +38,7 @@ def main() -> int:
 
 
 def run(args) -> int:
-    cfg = resolve(Config(), threads=args.threads)
+    cfg = Config(threads=args.threads)
     marks = {*estimate_marks(args.limit), *decade_marks(args.limit),
              args.limit}
 

@@ -17,14 +17,15 @@ For a desk-scale demonstration try:
     python scripts/gap_hunt.py --gap 100 --stop 1e7 \
         --checkpoint runs/gap100.jsonl
 
-The thread count comes from PRIMELAB_THREADS, else 1.
+--threads sets the worker threads (default 1); a hunt's kernel is light,
+so a second thread buys little (README, "Configuration").
 """
 import argparse
 import sys
 import time
 
 from primelab.cli import exit_status, int_arg
-from primelab.config import Config, resolve
+from primelab.config import Config
 from primelab.gaps import hunt_gap
 from primelab.refdata import GAP_1132, GAP_778
 
@@ -41,6 +42,7 @@ def main() -> int:
     ap.add_argument("--stop", type=int_arg, default=None)
     ap.add_argument("--start", type=int_arg, default=2)
     ap.add_argument("--checkpoint", default=None)
+    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--stride", type=int_arg, default=1 << 30,
                     help="checkpoint every this many integers scanned")
     args = ap.parse_args()
@@ -60,7 +62,8 @@ def main() -> int:
 
 def run(args, gap: int, stop: int, reference) -> int:
     t0 = time.time()
-    rec = hunt_gap(gap, stop, start=args.start, cfg=resolve(Config()),
+    rec = hunt_gap(gap, stop, start=args.start,
+                   cfg=Config(threads=args.threads),
                    checkpoint_path=args.checkpoint,
                    checkpoint_stride=args.stride)
     dt = time.time() - t0

@@ -20,7 +20,7 @@ import time
 
 from primelab.census import count_pairs_2k
 from primelab.cli import _emit, exit_status, int_arg
-from primelab.config import Config, resolve
+from primelab.config import Config
 from primelab.refdata import PI2_BY_DECADE
 from primelab.scan import decade_marks
 
@@ -30,14 +30,14 @@ def main() -> int:
     ap.add_argument("--limit", type=int_arg, default=10**9)
     ap.add_argument("--checkpoint", default=None,
                     help="resumable checkpoint file (one line: the last state)")
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default=None, help="write final CSV here")
     args = ap.parse_args()
     return exit_status(lambda: run(args))
 
 
 def run(args) -> int:
-    cfg = resolve(Config(), threads=args.threads)
+    cfg = Config(threads=args.threads)
     decades = decade_marks(args.limit)
     if not decades or decades[-1] != args.limit:
         decades.append(args.limit)

@@ -396,8 +396,7 @@ def isolated_progression_witnesses(limit: int) -> list[int]:
     return [int(p) for p in witnesses]
 
 
-def non_twin_prime_run(m: int, search_limit: int = 10**8, *,
-                       cfg: Config | None = None) -> list[int]:
+def non_twin_prime_run(m: int, search_limit: int = 10**8) -> list[int]:
     """First run of m consecutive primes, none a member of a twin pair.
 
     Prime 2 counts as isolated (the pair convention starts at 3), so
@@ -416,7 +415,7 @@ def non_twin_prime_run(m: int, search_limit: int = 10**8, *,
         best = 0
         prev = None
         cur = None
-        for nxt in iter_primes(size, cfg):
+        for nxt in iter_primes(size):
             if cur is not None:
                 twin = (prev is not None and cur - prev == 2) or nxt - cur == 2
                 if twin:
@@ -454,8 +453,7 @@ def _even_perfects_upto(bound: int) -> list[int]:
     return out
 
 
-def perfect_half_sum_scan(limit: int, *,
-                          cfg: Config | None = None) -> list[tuple[int, int]]:
+def perfect_half_sum_scan(limit: int) -> list[tuple[int, int]]:
     """Twin pairs (p, p+2) with p <= limit whose half-sum p+1 is perfect.
 
     Also asserts, for every twin pair with p > 5 encountered in the scan,
@@ -465,7 +463,7 @@ def perfect_half_sum_scan(limit: int, *,
         raise ValueError("limit must be at least 7")
     perfect = set(_even_perfects_upto(limit + 1))
     out: list[tuple[int, int]] = []
-    for lo, hi, bits in Walk(limit + 1, cfg, reach=2).segments(2, limit + 1):
+    for lo, hi, bits in Walk(limit + 1, reach=2).segments(2, limit + 1):
         m = _odd_count(lo, hi)
         inst = bits[:m] & bits[1:1 + m]
         ps = lo + 1 + 2 * np.flatnonzero(inst).astype(np.int64)

@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import brun as brun_mod
 from . import census, constants, gaps, goldbach, reports
-from .config import Config, from_file, resolve
+from .config import DEFAULT_SEGMENT_BYTES, Config
 from .errors import CheckpointError, MathViolationError, ResourceLimitError
 
 __all__ = ["main", "build_parser", "int_arg", "exit_status"]
@@ -62,9 +62,7 @@ class _NotResumable(argparse.Action):
 
 
 def _cfg(args: argparse.Namespace) -> Config:
-    base = from_file(args.config) if args.config else None
-    return resolve(base, segment_bytes=args.segment_bytes,
-                   threads=args.threads)
+    return Config(args.segment_bytes, args.threads)
 
 
 def _emit(args: argparse.Namespace, doc=None, table=None) -> None:
@@ -118,6 +116,8 @@ def _cmd_sieve(args) -> int:
         n = args.n
         if n < 2**64:
             verdict, how = is_prime_64(n), "deterministic"
+        elif n % 2 == 0:  # prp_test takes odd n only
+            verdict, how = False, "deterministic"
         else:
             verdict, how = prp_test(n), "probable"
         _emit(args, {"n": n, "prime": bool(verdict), "method": how},
@@ -334,10 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to a file")
     # only the jobs that walk segments take run settings
     run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--threads", type=int, default=None,
-                     help="worker threads (beats PRIMELAB_THREADS)")
-    run.add_argument("--segment-bytes", type=int_arg, default=None)
-    run.add_argument("--config", default=None, help="JSON config file path")
+    run.add_argument("--threads", type=int, default=1, help="worker threads")
+    run.add_argument("--segment-bytes", type=int_arg,
+                     default=DEFAULT_SEGMENT_BYTES)
     # only the resumable jobs take a checkpoint file
     resumable = argparse.ArgumentParser(add_help=False)
     resumable.add_argument("--checkpoint", default=None,

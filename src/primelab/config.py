@@ -1,14 +1,11 @@
 """Runtime configuration.
 
 Settings travel as a frozen dataclass, checked when it is built, so the
-threads of one scan can share one instance safely.  The JSON config file
-mirrors the dotted key layout, e.g. {"sieve": {"segment_bytes": 4194304}}.
+threads of one scan can share one instance safely.
 """
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # 4 MiB segments, kept after a sweep of the segment walk's cost on one
 # core, in ns per integer (median of 9 interleaved runs; 2-core x86-64 VM
@@ -24,8 +21,6 @@ from dataclasses import dataclass, replace
 # gap hunts run; it is within 3% of the best at 1e8 and 30% behind 1 MiB
 # at 1e12.
 DEFAULT_SEGMENT_BYTES = 1 << 22
-
-ENV_THREADS = "PRIMELAB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -44,39 +39,3 @@ class Config:
             raise ValueError("segment_bytes must be at least 1 KiB")
         if self.threads < 1:
             raise ValueError("threads must be positive")
-
-
-def from_file(path: str) -> Config:
-    """Load a JSON config file; unknown keys are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    known = {"sieve", "threads"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    sieve = raw.get("sieve", {})
-    if "segment_bytes" in sieve:
-        kwargs["segment_bytes"] = int(sieve["segment_bytes"])
-    if "threads" in raw:
-        kwargs["threads"] = int(raw["threads"])
-    return Config(**kwargs)
-
-
-def resolve(base: Config | None = None, *, segment_bytes: int | None = None,
-            threads: int | None = None) -> Config:
-    """Merge explicit overrides, then the environment, onto a base config.
-
-    Thread resolution order: explicit argument, then PRIMELAB_THREADS,
-    then the base value.  An explicit flag always wins over the env var.
-    """
-    cfg = base or Config()
-    if threads is None:
-        env = os.environ.get(ENV_THREADS)
-        if env is not None:
-            threads = int(env)
-    if segment_bytes is not None:
-        cfg = replace(cfg, segment_bytes=segment_bytes)
-    if threads is not None:
-        cfg = replace(cfg, threads=threads)
-    return cfg

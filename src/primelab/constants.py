@@ -572,8 +572,8 @@ def _adaptive_simpson(f, a, b, tol, fa=None, fm=None, fb=None, depth=60):
 
 def li2(x: float, rel_tol: float = 1e-10) -> float:
     """Integral from 2 to x of dt / log(t)**2, adaptive Simpson."""
-    if not x > 2:
-        raise ValueError("x must exceed 2")
+    if not 2 < x < math.inf:
+        raise ValueError("x must be finite and exceed 2")
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must be in (0, 1)")
 

@@ -324,8 +324,12 @@ def short_interval_above_square(N: int, e: float) -> float:
     """Fraction of n <= N with a prime in (n**2, n**2 + n**e]."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    if not e > 1:
-        raise ValueError("exponent must exceed 1")
+    if not 1 < e < math.inf:
+        raise ValueError("exponent must be finite and exceed 1")
+    try:  # n**e <= N**e for every n, so one check covers the loop
+        float(N) ** e
+    except OverflowError:
+        raise ValueError(f"{N}**{e} overflows a float") from None
     hits = 0
     for n in range(1, N + 1):
         top = n * n + int(n**e)

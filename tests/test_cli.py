@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from primelab.cli import int_arg, main
-from primelab.config import Config, from_file, resolve
+from primelab.config import Config
 
 
 def run(capsys, *argv):
@@ -216,43 +217,12 @@ def test_int_arg_reads_exactly(capsys):
     assert exc.value.code == 2
 
 
-def test_threads_flag_beats_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("PRIMELAB_THREADS", "7")
-    cfg = resolve(Config(), threads=2)
-    assert cfg.threads == 2
-    cfg = resolve(Config())
-    assert cfg.threads == 7
-    # the environment beats the config file
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"threads": 4}))
-    assert resolve(from_file(str(path))).threads == 7
-    assert resolve(from_file(str(path)), threads=2).threads == 2
-
-
-def test_config_file_round_trip(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"sieve": {"segment_bytes": 2048},
-                                "threads": 3}))
-    cfg = from_file(str(path))
-    assert cfg.segment_bytes == 2048 and cfg.threads == 3
-    with pytest.raises(FileNotFoundError):
-        from_file(str(tmp_path / "missing.json"))
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"unknown_key": 1}))
-    with pytest.raises(ValueError):
-        from_file(str(bad))
-
-
-def test_config_validates_at_construction(tmp_path, capsys):
+def test_config_validates_at_construction(capsys):
     for kwargs in ({"threads": 0}, {"segment_bytes": 1023}):
         with pytest.raises(ValueError):
             Config(**kwargs)
     with pytest.raises(ValueError):
         dataclasses.replace(Config(), threads=0)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"threads": 0}))
-    with pytest.raises(ValueError):
-        from_file(str(path))
     code = main(["census", "pairs", "--limit", "1e4", "--threads", "0"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -273,13 +243,36 @@ def test_group_parsers_take_no_options(tmp_path, capsys):
 
 
 def test_commands_without_run_flags_ignore_the_environment(monkeypatch,
-                                                           capsys):
+                                                           capsys, tmp_path):
     monkeypatch.setenv("PRIMELAB_THREADS", "0")
     code, out = run(capsys, "sieve", "factor", "--n", "360")
     assert code == 0
     assert out == "prime,exponent\n2,3\n3,2\n5,1\n"
-    # a command that walks segments still reads it, and rejects it
-    assert main(["sieve", "count", "--limit", "100"]) == 2
+    # settings come from flags only, so a walking command ignores it too
+    code, out = run(capsys, "sieve", "count", "--limit", "100")
+    assert code == 0 and out == "limit,count\n100,25\n"
+    # and no command takes a config file
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"threads": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "pairs", "--limit", "1e3", "--config", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_no_module_reads_the_environment():
+    # settings come from flags and Config(...) arguments only
+    root = Path(__file__).resolve().parent.parent
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    paths = [*(root / "src" / "primelab").glob("*.py"),
+             *(root / "scripts").glob("*.py")]
+    assert len(paths) > 10
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            assert name not in banned, f"{path.name}:{node.lineno}"
 
 
 def test_threads_flag_reaches_the_scan(monkeypatch, capsys):
@@ -332,17 +325,43 @@ def test_resume_byte_identical_via_cli(tmp_path, capsys, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gaps_interval_decimal_theta_answers():
+def _cli_process(*argv: str, timeout: float) -> subprocess.CompletedProcess:
+    """The CLI in a child process, for inputs that could hang it."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run(
-        [sys.executable, "-m", "primelab", "gaps", "interval", "--x", "1000",
-         "--theta", "0.55"], capture_output=True, text=True, timeout=10,
-        env=env)
+    return subprocess.run([sys.executable, "-m", "primelab", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
+
+
+def test_gaps_interval_decimal_theta_answers():
+    out = _cli_process("gaps", "interval", "--x", "1000", "--theta", "0.55",
+                       timeout=10)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[1].startswith("7,")
+
+
+def test_non_finite_inputs_exit_2(capsys):
+    out = _cli_process("constants", "li2", "--x", "inf", timeout=20)
+    assert (out.returncode, out.stdout) == (2, ""), out.stderr
+    assert out.stderr.startswith("error: x must be finite")
+    for n, e in (("10", "inf"), ("10", "400")):  # n**400 overflows a float
+        code = main(["gaps", "short-interval", "--n", n, "--exponent", e])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def test_isprime_past_64_bits(capsys):
+    # even n are settled without prp_test, which takes odd n only
+    for n, want in ((2**64, "False,deterministic"),
+                    (2**64 + 2, "False,deterministic"),
+                    (2**64 + 13, "True,probable"),
+                    (2**64 + 15, "False,probable")):
+        code, out = run(capsys, "sieve", "isprime", "--n", str(n))
+        assert code == 0 and out.splitlines()[1] == f"{n},{want}"
 
 
 def test_window_outside_int64_exits_2(capsys):

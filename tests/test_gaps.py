@@ -182,8 +182,9 @@ def test_primes_between_squares_brute(prime_set_1e6):
 def test_short_interval_above_square():
     frac = short_interval_above_square(200, 1.6)
     assert frac == 1.0  # every window that size holds a prime at this scale
-    with pytest.raises(ValueError):
-        short_interval_above_square(10, 0.9)
+    for e in (0.9, math.inf, math.nan, 400.0):  # 10.0**400 overflows
+        with pytest.raises(ValueError):
+            short_interval_above_square(10, e)
 
 
 def test_normalized_extremes_known_min():

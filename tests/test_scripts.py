@@ -112,7 +112,7 @@ def _load_script(name: str):
 
 
 def test_gap_hunt_reads_the_thread_count(monkeypatch, capsys):
-    # PRIMELAB_THREADS reaches the hunt's pool; the find does not change
+    # --threads reaches the hunt's pool; the find does not change
     import primelab.scan as scan_mod
 
     gap_hunt = _load_script("gap_hunt")
@@ -124,11 +124,11 @@ def test_gap_hunt_reads_the_thread_count(monkeypatch, capsys):
             pools.append(kwargs["max_workers"])
 
     monkeypatch.setattr(scan_mod, "ThreadPoolExecutor", Counted)
-    monkeypatch.setattr(sys, "argv", ["gap_hunt.py", "--gap", "72",
-                                      "--stop", "1e7"])
     outs = []
     for threads in ("1", "2"):
-        monkeypatch.setenv("PRIMELAB_THREADS", threads)
+        monkeypatch.setattr(sys, "argv", ["gap_hunt.py", "--gap", "72",
+                                          "--stop", "1e7",
+                                          "--threads", threads])
         assert gap_hunt.main() == 0
         outs.append(capsys.readouterr().out.split(" (")[0])
     assert pools == [2]
