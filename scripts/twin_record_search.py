@@ -8,7 +8,7 @@ Progress is checkpointed per k-chunk, so record-scale exponents (where
 each test costs seconds and the k-range runs to billions) can be stopped
 and resumed indefinitely.
 
-    # desk-scale: all twins k*2^30 +/- 1 with k <= 2e5, a second or two
+    # desk-scale: all twins k*2^30 +/- 1 with k <= 2e5, under a second
     python scripts/twin_record_search.py --base 2 --exponent 30 \
         --k-hi 2e5 --checkpoint runs/form30.jsonl
 
@@ -65,6 +65,12 @@ def main() -> int:
     return exit_status(lambda: run(args))
 
 
+def print_hit(k: int, low: int, high: int) -> None:
+    """One output row; twin_form_search certifies the pairs below 2**64."""
+    kind = "certified" if high < 1 << 64 else "prp"
+    print(f"{k},{low},{high},{kind}")
+
+
 def run(args) -> int:
     if args.verify_records:
         return verify_records(args.max_digits)
@@ -81,14 +87,15 @@ def run(args) -> int:
             found, pos = got[0], got[1] + 1
             print(f"# resuming at k={pos}, {len(found)} hits so far",
                   file=sys.stderr)
+            for row in found:
+                print_hit(*row)
 
     t0 = time.time()
     while pos <= args.k_hi:
         top = min(pos + args.chunk - 1, args.k_hi)
         for hit in twin_form_search(pos, top, args.base, args.exponent):
             found.append([hit.k, hit.pair[0], hit.pair[1]])
-            kind = "certified" if hit.certified else "prp"
-            print(f"{hit.k},{hit.pair[0]},{hit.pair[1]},{kind}")
+            print_hit(*found[-1])
         if args.checkpoint:
             write_checkpoint(args.checkpoint, Checkpoint(
                 task, top, {"found": [[str(a) for a in row]

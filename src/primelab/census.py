@@ -486,6 +486,24 @@ class TwinFormHit:
 _PRESIEVE_BOUND = 10**5
 
 
+def _presieve(k_lo: int, k_hi: int, base: int, exponent: int) -> np.ndarray:
+    """The k in [k_lo, k_hi] with no prime q <= 1e5 dividing
+    k*base**exponent - 1 or k*base**exponent + 1.
+
+    k*b^e = +-1 (mod q) exactly for k = +-(b^e)^-1 (mod q), so each q
+    clears two strided slices; a q dividing b^e clears none.
+    """
+    kv = np.arange(k_lo, k_hi + 1, dtype=np.int64)
+    alive = np.ones(len(kv), dtype=bool)
+    for q in map(int, small_primes(_PRESIEVE_BOUND)):
+        be = pow(base, exponent, q)
+        if be:
+            inv = pow(be, -1, q)
+            alive[(inv - k_lo) % q::q] = False
+            alive[(-inv - k_lo) % q::q] = False
+    return kv[alive]
+
+
 def twin_form_search(k_lo: int, k_hi: int, base: int,
                      exponent: int) -> list[TwinFormHit]:
     """k in [k_lo, k_hi] with k*base**exponent +/- 1 both (probable) primes.
@@ -515,14 +533,8 @@ def twin_form_search(k_lo: int, k_hi: int, base: int,
     big_lo = max(k_lo, small_top + 1)
     if big_lo > k_hi:
         return hits
-    kv = np.arange(big_lo, k_hi + 1, dtype=np.int64)
-    alive = np.ones(len(kv), dtype=bool)
-    for q in map(int, small_primes(_PRESIEVE_BOUND)):
-        be = pow(base, exponent, q)
-        r = (kv % q) * be % q
-        alive &= ~((r == 1 % q) | (r == (q - 1) % q))
-        # here n = k*scale > 1e5 + 1 > q, so divisibility really means composite
-    for k in map(int, kv[alive]):
+    # here n = k*scale > 1e5 + 1 > q, so divisibility really means composite
+    for k in map(int, _presieve(big_lo, k_hi, base, exponent)):
         n = k * scale
         if n + 1 < 1 << 64:
             if is_prime_64(n - 1) and is_prime_64(n + 1):

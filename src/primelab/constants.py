@@ -651,6 +651,14 @@ def _odd_factor_product(n: int) -> float:
     return out
 
 
+def _check_float_range(x: int) -> None:
+    """Reject an x past the float range (about 1.8e308) of the formulas."""
+    try:
+        float(x)
+    except OverflowError:
+        raise ValueError("x must be below 2**1024, the float range") from None
+
+
 def predict(quantity: str, x: int, params: dict | None = None) -> Prediction:
     """Evaluate one of the closed-form predictions at x.
 
@@ -663,6 +671,7 @@ def predict(quantity: str, x: int, params: dict | None = None) -> Prediction:
         raise ValueError(f"unknown prediction tag {quantity!r}")
     if x < 10:
         raise ValueError("x must be at least 10")
+    _check_float_range(x)
     lx = math.log(x)
     alpha = _alpha_float()
     if quantity == "l2":
@@ -712,19 +721,23 @@ def historical_bounds(x: int) -> BoundsReport:
     """
     if x < 100:
         raise ValueError("x must be at least 100")
+    _check_float_range(x)
     lx = math.log(x)
     alpha = _alpha_float()
     l2x = li2(x)
-    values = {
-        "brun_7200": 7200 * x / lx**2 * math.log(lx) ** 2
-        + x / lx**6 + x**0.75,
-        "brun_100": 100 * x / lx**2,
-        "explicit_16alpha": 16 * alpha * x / lx**2,
-        "riesel_vaughan": 16 * alpha * x / ((7.5 + lx) * lx),
-        "bombieri_davenport": 8 * alpha * x / lx**2,
-        "chen_almost_lower": 0.335 * 2 * alpha * l2x,
-        "wu_almost_lower": 1.104 * 2 * alpha * l2x,
-    }
+    try:
+        values = {
+            "brun_7200": 7200 * x / lx**2 * math.log(lx) ** 2
+            + x / lx**6 + x**0.75,
+            "brun_100": 100 * x / lx**2,
+            "explicit_16alpha": 16 * alpha * x / lx**2,
+            "riesel_vaughan": 16 * alpha * x / ((7.5 + lx) * lx),
+            "bombieri_davenport": 8 * alpha * x / lx**2,
+            "chen_almost_lower": 0.335 * 2 * alpha * l2x,
+            "wu_almost_lower": 1.104 * 2 * alpha * l2x,
+        }
+    except OverflowError:  # 7200 * x leaves the float range near 1e304
+        raise ValueError("x is too large: a bound overflows a float") from None
     rows = tuple(
         (year, c_text, name, _parse_multiplier(c_text) * 2 * alpha * l2x)
         for year, c_text, name in TWIN_BOUND_MULTIPLIERS)

@@ -6,7 +6,6 @@ two disagree the document says so rather than silently preferring one.
 """
 from __future__ import annotations
 
-import math
 from decimal import Decimal, localcontext
 
 from . import brun as brun_mod
@@ -23,6 +22,16 @@ def _fmt_int(n: int) -> str:
     return f"{n:,}"
 
 
+def _row(cells) -> str:
+    return "| " + " | ".join(map(str, cells)) + " |"
+
+
+def _table(header, rows) -> str:
+    """A markdown table: the header, its rule, one line per row."""
+    return "\n".join([_row(header), "|---" * len(header) + "|",
+                      *map(_row, rows)])
+
+
 def _digits_of(k: int, base: int, exponent: int) -> int:
     """Decimal length of k * base**exponent without materializing it."""
     with localcontext() as ctx:
@@ -31,47 +40,37 @@ def _digits_of(k: int, base: int, exponent: int) -> int:
         return int(lg.to_integral_value(rounding="ROUND_FLOOR")) + 1
 
 
-def _census_section(limit: int, cfg: Config | None, lines: list[str]) -> dict[int, int]:
-    marks = decade_marks(limit)
-    table = census.count_pairs_2k(1, limit, marks or None, cfg=cfg)
-    counts = dict(table.rows)
-    lines.append("## Twin pair census by decade")
-    lines.append("")
-    lines.append("| limit | computed | published | match | citation |")
-    lines.append("|---|---|---|---|---|")
-    for x in marks:
+def _census_section(pi2: dict[int, int]) -> list[str]:
+    rows = []
+    for x, computed in pi2.items():
         ref = refdata.PI2_BY_DECADE.get(x)
-        computed = counts[x]
         if ref is None:
-            lines.append(f"| {_fmt_int(x)} | {_fmt_int(computed)} | - | - | - |")
-            continue
-        ok = "yes" if computed == ref.value else "NO"
-        lines.append(f"| {_fmt_int(x)} | {_fmt_int(computed)} | "
-                     f"{_fmt_int(ref.value)} | {ok} | {ref.citation} |")
-    lines.append("")
-    return counts
+            published = ("-", "-", "-")
+        else:
+            ok = "yes" if computed == ref.value else "NO"
+            published = (_fmt_int(ref.value), ok, ref.citation)
+        rows.append((_fmt_int(x), _fmt_int(computed), *published))
+    return ["## Twin pair census by decade",
+            _table(("limit", "computed", "published", "match", "citation"),
+                   rows)]
 
 
-def _prediction_section(counts: dict[int, int], lines: list[str]) -> None:
-    lines.append("## Density-integral prediction vs census")
-    lines.append("")
-    lines.append("Prediction L2(x) = 2 alpha li2(x); the published column is")
-    lines.append("the classical tabulation of L2(x) - pi2(x).")
-    lines.append("")
-    lines.append("| x | computed diff | published diff | citation |")
-    lines.append("|---|---|---|---|")
-    for x, pi2 in counts.items():
+def _prediction_section(pi2: dict[int, int]) -> list[str]:
+    rows = []
+    for x, count in pi2.items():
         ref = refdata.L2_MINUS_PI2.get(x)
-        if ref is None:
-            continue
-        diff = constants.predict("l2", x).value - pi2
-        lines.append(f"| {_fmt_int(x)} | {diff:+.1f} | {ref.value:+d} "
-                     f"| {ref.citation} |")
-    lines.append("")
+        if ref is not None:
+            diff = constants.predict("l2", x).value - count
+            rows.append((_fmt_int(x), f"{diff:+.1f}", f"{ref.value:+d}",
+                         ref.citation))
+    return ["## Density-integral prediction vs census",
+            "Prediction L2(x) = 2 alpha li2(x); the published column is\n"
+            "the classical tabulation of L2(x) - pi2(x).",
+            _table(("x", "computed diff", "published diff", "citation"), rows)]
 
 
-def _constants_section(lines: list[str]) -> None:
-    rows = (
+def _constants_section() -> list[str]:
+    computed = (
         ("alpha", constants.twin_constant(10), refdata.TWIN_CONSTANT_10),
         ("2 alpha", constants.pattern_constant((0, 2), 10),
          refdata.TWIN_CONSTANT_DOUBLED_10),
@@ -82,11 +81,8 @@ def _constants_section(lines: list[str]) -> None:
         ("m^2+1 (half)", constants.quad_constant(10),
          refdata.QUAD_RESIDUE_CONSTANT_10),
     )
-    lines.append("## Density constants at 10 decimal places")
-    lines.append("")
-    lines.append("| constant | computed (rounded) | published | agreement |")
-    lines.append("|---|---|---|---|")
-    for name, hpv, ref in rows:
+    rows = []
+    for name, hpv, ref in computed:
         mine = hpv.decimal_str()
         if mine == ref.value:
             verdict = "exact"
@@ -94,213 +90,193 @@ def _constants_section(lines: list[str]) -> None:
             verdict = "published value truncated, not rounded"
         else:
             verdict = "DISAGREES"
-        lines.append(f"| {name} | {mine} | {ref.value} | {verdict} |")
+        rows.append((name, mine, ref.value, verdict))
     variant = refdata.TWIN_CONSTANT_VARIANT
-    lines.append("")
-    lines.append(f"A variant printing {variant.value} circulates "
-                 f"({variant.citation}); it drops a digit of "
-                 f"{refdata.TWIN_CONSTANT_10.value}.")
-    lines.append("")
+    return ["## Density constants at 10 decimal places",
+            _table(("constant", "computed (rounded)", "published",
+                    "agreement"), rows),
+            f"A variant printing {variant.value} circulates "
+            f"({variant.citation}); it drops a digit of "
+            f"{refdata.TWIN_CONSTANT_10.value}."]
 
 
-def _bounds_section(x: int, pi2_limit: int, lines: list[str]) -> None:
+def _bounds_section(x: int, pi2_limit: int) -> list[str]:
     rep = constants.historical_bounds(x)
-    lines.append(f"## Published upper bounds evaluated at {_fmt_int(x)}")
-    lines.append("")
-    lines.append(f"Census value pi2 = {_fmt_int(pi2_limit)}.  Upper bounds "
-                 "should exceed it (lower-bound curves are for the")
-    lines.append("almost-prime relaxation and sit below the pair count's "
-                 "relaxed analogue, not below pi2).")
-    lines.append("")
-    lines.append("| bound | value at limit | above census? |")
-    lines.append("|---|---|---|")
     uppers = ("brun_7200", "brun_100", "explicit_16alpha",
               "riesel_vaughan", "bombieri_davenport")
-    for name in uppers:
-        v = rep.values[name]
-        lines.append(f"| {name} | {v:.4g} | "
-                     f"{'yes' if v > pi2_limit else 'NO'} |")
-    for name in ("chen_almost_lower", "wu_almost_lower"):
-        lines.append(f"| {name} | {rep.values[name]:.4g} | (lower curve) |")
-    lines.append("")
-    lines.append(f"Multiplier race ({refdata.TWIN_BOUND_CITATION}), bound = "
-                 "c * 2 alpha li2(x):")
-    lines.append("")
-    lines.append("| year | c | authors | value at x |")
-    lines.append("|---|---|---|---|")
-    for year, c_text, name, value in rep.multipliers:
-        lines.append(f"| {year} | {c_text} | {name} | {value:.4g} |")
-    lines.append("")
+    rows = [(name, f"{rep.values[name]:.4g}",
+             "yes" if rep.values[name] > pi2_limit else "NO")
+            for name in uppers]
+    rows += [(name, f"{rep.values[name]:.4g}", "(lower curve)")
+             for name in ("chen_almost_lower", "wu_almost_lower")]
+    race = [(year, c_text, name, f"{value:.4g}")
+            for year, c_text, name, value in rep.multipliers]
+    return [f"## Published upper bounds evaluated at {_fmt_int(x)}",
+            f"Census value pi2 = {_fmt_int(pi2_limit)}.  Upper bounds "
+            "should exceed it (lower-bound curves are for the\n"
+            "almost-prime relaxation and sit below the pair count's "
+            "relaxed analogue, not below pi2).",
+            _table(("bound", "value at limit", "above census?"), rows),
+            f"Multiplier race ({refdata.TWIN_BOUND_CITATION}), bound = "
+            "c * 2 alpha li2(x):",
+            _table(("year", "c", "authors", "value at x"), race)]
 
 
-def _brun_section(limit: int, cfg: Config | None, lines: list[str]) -> None:
-    marks = sorted(set(brun_mod.estimate_marks(limit) + decade_marks(limit)))
-    partials = brun_mod.brun_partial(limit, marks or None, cfg=cfg)
+def _brun_section(partials: list[brun_mod.BrunRow]) -> list[str]:
     rep = brun_mod.brun_table_report(partials)
-    lines.append("## Reciprocal sums over twin pairs")
-    lines.append("")
-    lines.append("Extrapolated values assume the pair-density conjecture "
-                 "(conjecture-conditional).")
-    lines.append("")
-    lines.append("| limit | raw sum | extrapolated | published estimate | by |")
-    lines.append("|---|---|---|---|---|")
+    rows = []
     for row in rep["rows"]:
         pub = ""
         if row.published_estimate is not None:
             err = f" +- {row.published_error}" if row.published_error else ""
             pub = f"{row.published_estimate}{err}"
         ext = row.extrapolated[:14] if row.extrapolated else "-"
-        lines.append(f"| {_fmt_int(row.limit)} | {row.raw_sum[:14]} | {ext} "
-                     f"| {pub} | {row.published_by or ''} |")
+        rows.append((_fmt_int(row.limit), row.raw_sum[:14], ext, pub,
+                     row.published_by or ""))
     ref = rep["reference"]
     alt = rep["alternate_reference"]
-    lines.append("")
-    lines.append(f"Reference value {ref.value} ({ref.citation}); an earlier "
-                 f"extrapolation gives {alt.value} ({alt.citation}).")
-    lines.append("")
+    return ["## Reciprocal sums over twin pairs",
+            "Extrapolated values assume the pair-density conjecture "
+            "(conjecture-conditional).",
+            _table(("limit", "raw sum", "extrapolated", "published estimate",
+                    "by"), rows),
+            f"Reference value {ref.value} ({ref.citation}); an earlier "
+            f"extrapolation gives {alt.value} ({alt.citation})."]
 
 
-def _goldbach_section(limit: int, lines: list[str]) -> None:
+def _goldbach_section(limit: int) -> list[str]:
     cap = min(limit, 10**8)
     cap -= cap % 2
     violation = goldbach.verify_goldbach(4, cap)
-    lines.append("## Two-prime decompositions")
-    lines.append("")
     bound = refdata.GOLDBACH_VERIFIED_BOUND
-    lines.append(f"Every even n in [4, {_fmt_int(cap)}] has a two-prime sum: "
-                 f"{'CONFIRMED' if violation is None else f'VIOLATED at {violation}'}."
-                 f" (Published verification reaches {_fmt_int(bound.value)}; "
-                 f"{bound.citation}.)")
-    lines.append("")
-    lines.append("Exceptional-set count over the scanned range: "
-                 f"{0 if violation is None else '>= 1'}.")
-    lines.append("")
     n = cap if cap >= 10**4 else 10**4
     rep = goldbach.representation_report(n)
-    pub = refdata.GOLDBACH_R2_1E8
-    lines.append(f"Representation counts for n = {_fmt_int(n)} "
-                 "(both counting methods agree):")
-    lines.append("")
-    lines.append("| convention | count |")
-    lines.append("|---|---|")
-    lines.append(f"| unordered (p <= q) | {_fmt_int(rep['unordered'])} |")
-    lines.append(f"| ordered | {_fmt_int(rep['ordered'])} |")
-    lines.append(f"| unordered, 1 allowed | "
-                 f"{_fmt_int(rep['unordered_allow_one'])} |")
-    lines.append("")
+    blocks = [
+        "## Two-prime decompositions",
+        f"Every even n in [4, {_fmt_int(cap)}] has a two-prime sum: "
+        f"{'CONFIRMED' if violation is None else f'VIOLATED at {violation}'}."
+        f" (Published verification reaches {_fmt_int(bound.value)}; "
+        f"{bound.citation}.)",
+        "Exceptional-set count over the scanned range: "
+        f"{0 if violation is None else '>= 1'}.",
+        f"Representation counts for n = {_fmt_int(n)} "
+        "(both counting methods agree):",
+        _table(("convention", "count"), [
+            ("unordered (p <= q)", _fmt_int(rep["unordered"])),
+            ("ordered", _fmt_int(rep["ordered"])),
+            ("unordered, 1 allowed", _fmt_int(rep["unordered_allow_one"]))]),
+    ]
     if n == 10**8:
+        pub = refdata.GOLDBACH_R2_1E8
         match = any(rep[k] == pub.value for k in
                     ("unordered", "ordered", "unordered_allow_one"))
-        lines.append(f"Published count: {_fmt_int(pub.value)} ({pub.citation}). "
-                     + ("One convention matches."
-                        if match else
-                        "No convention reproduces it; the doubly checked "
-                        "values above are authoritative."))
-        lines.append("")
+        blocks.append(f"Published count: {_fmt_int(pub.value)} "
+                      f"({pub.citation}). "
+                      + ("One convention matches."
+                         if match else
+                         "No convention reproduces it; the doubly checked "
+                         "values above are authoritative."))
     b1, b2 = refdata.THREE_PRIME_BOUND_BOROZDKIN, refdata.THREE_PRIME_BOUND_2002
-    lines.append(f"Three-prime thresholds (metadata, never computed): "
-                 f"{b1.value} ({b1.citation}), later {b2.value} "
-                 f"({b2.citation}).")
-    lines.append("")
+    blocks.append(f"Three-prime thresholds (metadata, never computed): "
+                  f"{b1.value} ({b1.citation}), later {b2.value} "
+                  f"({b2.citation}).")
+    return blocks
 
 
-def _gaps_section(limit: int, cfg: Config | None, lines: list[str]) -> None:
+def _gaps_section(limit: int, cfg: Config | None) -> list[str]:
     cap = min(limit, 10**7)
     scan = gaps.scan_gaps(cap, cfg=cfg)
     missing = gaps._missing(scan.first_occurrences, 100)
-    lines.append(f"## Prime gaps below {_fmt_int(cap)}")
-    lines.append("")
     recs = ", ".join(f"({r.p}, {r.gap})" for r in scan.maximal[-6:])
-    lines.append(f"Largest maximal-gap records: {recs}.")
-    lines.append(f"Even gaps <= 100 missing below the cap: "
-                 f"{missing if missing else 'none'}.")
     sm = refdata.SMALLEST_MISSING_GAP
     g778, g1132 = refdata.GAP_778, refdata.GAP_1132
-    lines.append("")
-    lines.append(f"Long-run targets (resumable jobs, not desk-scale): gap "
-                 f"{g778.value[1]} first occurs at {_fmt_int(g778.value[0])} "
-                 f"({g778.citation}); gap {g1132.value[1]} at "
-                 f"{_fmt_int(g1132.value[0])} ({g1132.citation}); smallest "
-                 f"gap with no known occurrence is {sm.value} ({sm.citation}).")
-    lines.append("")
+    return [f"## Prime gaps below {_fmt_int(cap)}",
+            f"Largest maximal-gap records: {recs}.\n"
+            f"Even gaps <= 100 missing below the cap: "
+            f"{missing if missing else 'none'}.",
+            f"Long-run targets (resumable jobs, not desk-scale): gap "
+            f"{g778.value[1]} first occurs at {_fmt_int(g778.value[0])} "
+            f"({g778.citation}); gap {g1132.value[1]} at "
+            f"{_fmt_int(g1132.value[0])} ({g1132.citation}); smallest "
+            f"gap with no known occurrence is {sm.value} ({sm.citation})."]
 
 
-def _records_section(lines: list[str]) -> None:
+def _records_section() -> list[str]:
     from .sieve import is_prime_64
-    lines.append("## Records and milestones")
-    lines.append("")
     big, sebah = refdata.PI2_EXTREME_ROWS
-    lines.append(f"- pi2({_fmt_int(big.value[0])}) = {_fmt_int(big.value[1])} "
-                 f"({big.citation}).")
-    lines.append(f"- pi2({_fmt_int(sebah.value[0])}) = "
-                 f"{_fmt_int(sebah.value[1])} ({sebah.citation}).")
     pred = refdata.PI2_1E16_PREDICTED
     alpha2 = 2 * constants._alpha_float()
     live = alpha2 * float(constants.li2_precise(10**16, dps=30))
-    lines.append(f"- density prediction at 1e16: published "
-                 f"{_fmt_int(pred.value)} ({pred.citation}); recomputed "
-                 f"{live:,.0f}.")
-    lines.append("")
-    lines.append("Census milestones:")
-    for lim, author, year in refdata.PI2_MILESTONES:
-        lines.append(f"- {_fmt_int(lim)} ({author}, {year})")
-    lines.append("")
-    lines.append("Titanic twin records k * b^e +/- 1 (digit lengths "
-                 "recomputed live):")
-    lines.append("")
-    lines.append("| k | base | exponent | digits (claimed) | digits "
-                 "(recomputed) | year | by |")
-    lines.append("|---|---|---|---|---|---|---|")
-    for k, b, e, d, year, who in refdata.RECORD_TWINS:
-        lines.append(f"| {k} | {b} | {e} | {d} | {_digits_of(k, b, e)} "
-                     f"| {year} | {who} |")
-    lines.append("")
+    records = [(k, b, e, d, _digits_of(k, b, e), year, who)
+               for k, b, e, d, year, who in refdata.RECORD_TWINS]
+    pairs = []
     for ref in (refdata.PENTIUM_BUG_PAIR, refdata.MILLENNIUM_PAIR):
         p, q = ref.value
         both = is_prime_64(p) and is_prime_64(q)
-        lines.append(f"- ({_fmt_int(p)}, {_fmt_int(q)}): "
+        pairs.append(f"- ({_fmt_int(p)}, {_fmt_int(q)}): "
                      f"{'verified prime pair' if both else 'NOT PRIME'} "
                      f"({ref.citation}).")
-    lines.append("")
+    return [
+        "## Records and milestones",
+        f"- pi2({_fmt_int(big.value[0])}) = {_fmt_int(big.value[1])} "
+        f"({big.citation}).\n"
+        f"- pi2({_fmt_int(sebah.value[0])}) = {_fmt_int(sebah.value[1])} "
+        f"({sebah.citation}).\n"
+        f"- density prediction at 1e16: published {_fmt_int(pred.value)} "
+        f"({pred.citation}); recomputed {live:,.0f}.",
+        "\n".join(["Census milestones:",
+                   *(f"- {_fmt_int(lim)} ({author}, {year})"
+                     for lim, author, year in refdata.PI2_MILESTONES)]),
+        "Titanic twin records k * b^e +/- 1 (digit lengths recomputed live):",
+        _table(("k", "base", "exponent", "digits (claimed)",
+                "digits (recomputed)", "year", "by"), records),
+        "\n".join(pairs),
+    ]
 
 
-def _exercises_section(limit: int, lines: list[str]) -> None:
+def _exercises_section(limit: int) -> list[str]:
     cap6 = min(limit, 10**6)
     cap4 = min(limit, 10**4)
     perfect = census.perfect_half_sum_scan(cap6)
     witnesses = census.isolated_progression_witnesses(cap4)
     run = census.non_twin_prime_run(3)
-    lines.append("## Structural checks")
-    lines.append("")
-    lines.append(f"- Twin pairs (p, p+2) with (p + p+2)/2 perfect, below "
-                 f"{_fmt_int(cap6)}: {perfect}.")
-    lines.append(f"- Isolated primes p = 5 (mod 42) with 3 | p-2 and 7 | p+2 "
-                 f"below {_fmt_int(cap4)}: {len(witnesses)} "
-                 f"(first {witnesses[:4]}).")
-    lines.append(f"- First run of 3 consecutive primes with no twin among "
-                 f"them: {run}.")
-    lines.append("")
+    return ["## Structural checks",
+            f"- Twin pairs (p, p+2) with (p + p+2)/2 perfect, below "
+            f"{_fmt_int(cap6)}: {perfect}.\n"
+            f"- Isolated primes p = 5 (mod 42) with 3 | p-2 and 7 | p+2 "
+            f"below {_fmt_int(cap4)}: {len(witnesses)} "
+            f"(first {witnesses[:4]}).\n"
+            f"- First run of 3 consecutive primes with no twin among "
+            f"them: {run}."]
 
 
 def build_comparison_document(limit: int = _DEF_LIMIT, *,
                               cfg: Config | None = None) -> str:
-    """Markdown document comparing live computations to the published record."""
+    """Markdown document comparing live computations to the published record.
+
+    One twin walk: the Brun sums at the decades and the estimate marks
+    also carry the pair counts that the census rows print.
+    """
     if limit < 10**3:
         raise ValueError("limit must be at least 1000")
-    lines: list[str] = []
-    lines.append("# Computed values vs the published record")
-    lines.append("")
-    lines.append(f"Census limit {_fmt_int(limit)}.  Every published value "
-                 "carries its citation; computed values are fresh this run.")
-    lines.append("")
-    counts = _census_section(limit, cfg, lines)
-    _prediction_section(counts, lines)
-    _constants_section(lines)
-    top = max(counts)
-    _bounds_section(top, counts[top], lines)
-    _brun_section(limit, cfg, lines)
-    _goldbach_section(limit, lines)
-    _gaps_section(limit, cfg, lines)
-    _records_section(lines)
-    _exercises_section(limit, lines)
-    return "\n".join(lines) + "\n"
+    decades = decade_marks(limit)
+    partials = brun_mod.brun_partial(
+        limit, sorted({*brun_mod.estimate_marks(limit), *decades}), cfg=cfg)
+    pi2 = {row.limit: row.pair_count for row in partials
+           if row.limit in decades}
+    top = decades[-1]
+    blocks = [
+        "# Computed values vs the published record",
+        f"Census limit {_fmt_int(limit)}.  Every published value "
+        "carries its citation; computed values are fresh this run.",
+        *_census_section(pi2),
+        *_prediction_section(pi2),
+        *_constants_section(),
+        *_bounds_section(top, pi2[top]),
+        *_brun_section(partials),
+        *_goldbach_section(limit),
+        *_gaps_section(limit, cfg),
+        *_records_section(),
+        *_exercises_section(limit),
+    ]
+    return "\n\n".join(blocks) + "\n\n"

@@ -2,6 +2,7 @@ import itertools
 from bisect import bisect_right
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -321,6 +322,21 @@ def test_twin_form_search_vs_direct():
     assert [h.k for h in hits] == want
     assert all(h.certified for h in hits)
     assert all(h.pair == (h.k * 1024 - 1, h.k * 1024 + 1) for h in hits)
+
+
+@pytest.mark.parametrize("base,exponent",
+                         [(2, 30), (10, 5), (2, 0), (2, 1), (10, 0)])
+def test_presieve_matches_per_k_residues(base, exponent):
+    from primelab.census import _PRESIEVE_BOUND, _presieve
+    from primelab.sieve import small_primes
+    # the reference tests every k against every q: k*b^e = +-1 (mod q)
+    kv = np.arange(99_001, 101_501, dtype=np.int64)
+    alive = np.ones(len(kv), dtype=bool)
+    for q in map(int, small_primes(_PRESIEVE_BOUND)):
+        r = (kv % q) * pow(base, exponent, q) % q
+        alive &= ~((r == 1 % q) | (r == (q - 1) % q))
+    got = _presieve(99_001, 101_500, base, exponent)
+    assert np.array_equal(got, kv[alive])
 
 
 def test_twin_form_search_validation():

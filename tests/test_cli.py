@@ -354,6 +354,32 @@ def test_non_finite_inputs_exit_2(capsys):
         assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [
+    *(["predict", "--quantity", q]
+      for q in ("pi2k", "l2", "pattern", "goldbach_r", "qn")),
+    ["bounds"],
+])
+def test_x_past_the_float_range_exits_2(command, capsys):
+    for x in ("2e308", "1e400"):
+        code = main(["constants", *command, "--x", x])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_top_of_the_float_range(capsys):
+    code, out = run(capsys, "constants", "predict", "--quantity", "l2",
+                    "--x", "1e308")
+    assert code == 0
+    assert out.splitlines()[1].endswith(",2.6325450829902103e+302")
+    # 7200 * x, in the first bound, leaves the float range
+    code = main(["constants", "bounds", "--x", "1e308"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: x is too large: a bound overflows a float\n"
+
+
 def test_isprime_past_64_bits(capsys):
     # even n are settled without prp_test, which takes odd n only
     for n, want in ((2**64, "False,deterministic"),

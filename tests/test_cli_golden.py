@@ -72,6 +72,7 @@ CASES = [
     "goldbach exceptional --x 1e4",
     "goldbach chen --x 1e4",
     "report paper-tables --limit 1e4",
+    "report paper-tables --limit 1100000",
 ]
 CLI_KEYS = [f"{c} --format {fmt}" for c in CASES for fmt in ("csv", "json")]
 OUT_KEY = "census pairs --limit 1e5 --checkpoints 1e4,1e5 --out FILE"

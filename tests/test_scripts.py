@@ -36,6 +36,27 @@ def test_scripts_keep_seventeen_digits(tmp_path):
     assert last["task_id"].endswith("@" + SEVENTEEN_DIGITS)
 
 
+def test_resumed_record_search_reprints_earlier_hits(tmp_path):
+    # k*2^50 +/- 1 is certified below k = 16384 and probable above, so the
+    # hits stored at the edge k = 17000 carry both kinds
+    argv = ["scripts/twin_record_search.py", "--base", "2", "--exponent", "50",
+            "--k-lo", "15001", "--k-hi", "18000", "--chunk", "1000"]
+    full = run_script(*argv)
+    assert full.returncode == 0, full.stderr
+    rows = [line.split(",") for line in full.stdout.splitlines()]
+    stored = [row[:3] for row in rows if int(row[0]) <= 17000]
+    assert {row[3] for row in rows if int(row[0]) <= 17000} == {"certified",
+                                                               "prp"}
+    assert len(stored) < len(rows)
+    cp = tmp_path / "form.jsonl"
+    write_checkpoint(str(cp), Checkpoint("twin_form(b=2,e=50)@18000", 17000,
+                                         {"found": stored}))
+    resumed = run_script(*argv, "--checkpoint", str(cp))
+    assert resumed.returncode == 0, resumed.stderr
+    assert "resuming at k=17001" in resumed.stderr
+    assert resumed.stdout == full.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["scripts/twin_census_extended.py", "--limit", "1.5"],
     ["scripts/brun_longrun.py", "--limit", "1.5"],
