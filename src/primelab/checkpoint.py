@@ -7,7 +7,7 @@ to a temp file in the same directory, which is fsynced and renamed over
 the file, and then the directory is fsynced: a crash at any instant
 leaves the previous state or the new one, and a write costs the same
 however long the run.  The temp file takes the mode of the file it
-replaces, or the umask's default for a new file, before the rename.
+replaces, or 0o666 less the umask for a new file, before the rename.
 Files from earlier releases hold one line per checkpoint, newest last;
 they resume from their last line, and their next write leaves one line.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import stat
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -96,13 +95,15 @@ def write_checkpoint(path: str, cp: Checkpoint) -> None:
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
+        mode = None
+    # 0o666 less the umask, which the kernel applies: reading the umask
+    # would mean setting it, for every thread of the process
+    tmp = os.path.join(directory, f".ckpt-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        os.fchmod(fd, mode)  # mkstemp creates 0600
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.write(cp.to_json() + "\n")
             fh.flush()
             os.fsync(fh.fileno())

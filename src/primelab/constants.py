@@ -686,7 +686,7 @@ def predict(quantity: str, x: int, params: dict | None = None) -> Prediction:
         pat = Pattern.coerce(params.get("pattern", (0, 2)))
         params["pattern"] = pat.offsets
         h = float(pattern_constant(pat, 12))
-        value = h * x / lx**pat.k
+        value = h * (x / lx**pat.k)  # h * x may leave the float range
     elif quantity == "goldbach_r":
         if x % 2:
             raise ValueError("goldbach_r needs an even number")

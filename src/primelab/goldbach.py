@@ -1,5 +1,8 @@
 """Two-prime decompositions of even numbers, at desk scale.
 
+Every reader here reads one table of prime bits, one bit per odd: bit i
+& 63 of little-endian 64-bit word i >> 6 marks 2i + 1 prime.
+
 Verification works by elimination (the least-p method of Oliveira e
 Silva, Herzog and Pardi, Math. Comp. 83 (2014), who also sieve
 bit-packed windows): each block of 2**21 evens starts unrepresented,
@@ -8,39 +11,40 @@ and ascending odd primes q knock out the n for which n - q is prime.
 For one q those n - q are consecutive odds, so the dense steps work on
 packed words.  The block's survivors are one bit per even in
 little-endian 64-bit words, the last word masked to the block.  The
-window of the odd-prime table that the primes q < 2**14 read for the
-block is packed the same way, inverted to composite bits, and padded
-with all-ones guard words, so an n - q below 3 or past the table reads
-"not prime".  A step is then one funnel shift of that window (two shifts
-and an OR, or none when the offset is a whole word) and one in-place AND
-over the block's 2**15 words.  Every 8 primes the nonzero words are
-counted; once at most 1/64 of them is left, or q's offset leaves the
-window, the survivors are read word by word (only nonzero words are
-unpacked) and each later q gathers only their flags.  Anything that
-survives the small primes gets an exhaustive per-prime check before it
-may be called a violation.
+window of the table that the primes q < 2**14 read for the block is a
+slice of its words, inverted to composite bits and padded with all-ones
+guard words, so an n - q below 3 or past the table reads "not prime".
+A step is then one funnel shift of that window (two shifts and an OR,
+or none when the offset is a whole word) and one in-place AND over the
+block's 2**15 words.  Every 8 primes the nonzero words are counted;
+once at most 1/64 of them is left, or q's offset leaves the window, the
+survivors are read word by word (only nonzero words are unpacked) and
+each later q gathers only their bits.  Anything that survives the small
+primes gets an exhaustive check, every odd p <= n/2 against n - p,
+before it may be called a violation.
 
-Memory: a full block holds four arrays of 256 KiB (the packed window,
+Memory: a full block holds four arrays of 256 KiB (the inverted window,
 the survivor words and two shift buffers), made for that block and
-dropped after it, where a byte per even took 2 MiB; nothing packed is
-kept between blocks or calls.
+dropped after it.  The table is the only array the process keeps: it
+holds (limit + 1) / 16 bytes for the largest limit asked for so far, is
+read-only, and is rebuilt only when a larger limit is asked for.  It is
+built a segment at a time (sieve.odd_prime_words), which costs one
+segment's bool buffer on top while it lasts.
 
 Representation counts are computed two independent ways (per-prime
 lookup and a complement scan) so the printed numbers never rest on a
-single code path; both read the one odd-prime table.  That byte table
-is the only one the process keeps: it holds (limit + 1) / 2 bytes for
-the largest limit asked for so far, is read-only, and is rebuilt only
-when a larger limit is asked for.
+single code path.  Both, and the exhaustive check, unpack the table
+2**20 bits at a time, so their temporaries do not grow with n.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import MathViolationError
-from .sieve import is_prime_64, odd_prime_flags, small_primes
+from .sieve import is_prime_64, odd_prime_words, small_primes
 
 __all__ = [
     "verify_goldbach",
@@ -57,17 +61,20 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 22
-# the dense steps use the odd primes below _DENSE_Q, read from one packed
+# the dense steps use the odd primes below _DENSE_Q, read from one
 # window of the table per block
 _DENSE_Q = 1 << 14
 # the dense steps end once at most 1/_SPARSE of a block's words holds a
 # survivor, counted every 8 primes
 _SPARSE = 64
-# composite bits, 64 to a word; bit b of word w is bit 64w + b of the window
+# 64 bits to a word; bit b of word w is bit 64w + b of the table
 _WORD = np.dtype("<u8")
+_ONES = np.iinfo(np.uint64).max
+# the counters and the exhaustive check unpack this many bits at a time
+_CHUNK = 1 << 20
 
-# the odd-prime table this process keeps; see _odd_flags
-_flags_table: np.ndarray | None = None
+# the table this process keeps, as (odds it covers, words); see _prime_words
+_table: tuple[int, np.ndarray] | None = None
 
 
 def _check_even(n: int, name: str = "n") -> None:
@@ -75,62 +82,93 @@ def _check_even(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} must be an even integer >= 4")
 
 
-def _odd_flags(limit: int) -> np.ndarray:
-    """odd_prime_flags(limit) as a read-only prefix view of the one
-    table this process keeps, built afresh only for a larger limit."""
-    global _flags_table
-    n = (limit + 1) // 2
-    table = _flags_table
-    if table is None or table.size < n:
-        table = odd_prime_flags(limit)
-        table.setflags(write=False)
-        _flags_table = table
-    return table[:n]
+def _prime_words(limit: int) -> np.ndarray:
+    """odd_prime_words(limit) as a read-only prefix view of the one table
+    this process keeps, built afresh only for a larger limit.
 
-
-def _odd_rep_exists_slow(n: int, flags: np.ndarray) -> bool:
-    """Exhaustive per-prime check for one n; the last word before
-    declaring a violation."""
-    for p in small_primes(n // 2 + 1):
-        p = int(p)
-        if p == 2:
-            continue
-        if flags[(n - p - 1) >> 1]:
-            return True
-    return False
-
-
-def _packed_composites(flags: np.ndarray, lo: int, words: int) -> np.ndarray:
-    """Words whose bit t is 0 exactly when flags[lo + t] marks a prime.
-
-    lo is a multiple of 64 and may be negative: indices outside flags
-    read as composite, so a guard of all-ones words stands in for them.
+    The view's last word may hold bits of the odds past limit, which
+    every reader leaves unread.
     """
-    buf = np.zeros(8 * words, dtype=np.uint8)
-    a, b = max(lo, 0), min(lo + 64 * words, flags.size)
+    global _table
+    n = (limit + 1) // 2
+    if _table is None or _table[0] < n:
+        words = odd_prime_words(limit)
+        words.setflags(write=False)
+        _table = (n, words)
+    return _table[1][:-(-n // 64)]
+
+
+def _bits(words: np.ndarray, s: int, e: int) -> np.ndarray:
+    """Bits s .. e - 1 of the table (0 <= s <= e) as a bool array."""
+    b = s >> 3
+    raw = np.unpackbits(words.view(np.uint8)[b:(e + 7) >> 3],
+                        bitorder="little")
+    return raw[s - 8 * b:e - 8 * b].view(bool)
+
+
+def _bits_reversed(words: np.ndarray, s: int, e: int) -> np.ndarray:
+    """Bits e - 1 down to s of the table (0 <= s <= e) as a bool array:
+    the bytes in reverse order, each unpacked from its high bit."""
+    top = (e + 7) >> 3
+    raw = np.unpackbits(words.view(np.uint8)[s >> 3:top][::-1],
+                        bitorder="big")
+    return raw[8 * top - e:8 * top - s].view(bool)
+
+
+def _gather(words: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Bits i (an int64 array, each >= 0) of the table, as 0 or 1: bit
+    i & 63 of word i >> 6 is bit i & 7 of its byte i >> 3."""
+    return (words.view(np.uint8)[i >> 3] >> (i & 7).astype(np.uint8)) & 1
+
+
+def _both_prime(words: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """For even n, bools over the odd p from 3 to n/2, ascending, a chunk
+    at a time: True where the table marks p and n - p prime."""
+    half = n // 2
+    end = (half + 1) // 2  # p = 2j + 1 <= n/2 for j < end
+    for a in range(1, end, _CHUNK):
+        b = min(a + _CHUNK, end)
+        # n - p for j in [a, b) is bit half - 1 - j, descending
+        yield _bits(words, a, b) & _bits_reversed(words, half - b, half - a)
+
+
+def _odd_rep_exists_slow(n: int, words: np.ndarray) -> bool:
+    """Exhaustive check for one n, every odd p <= n/2 against n - p;
+    the last word before declaring a violation."""
+    return any(both.any() for both in _both_prime(words, n))
+
+
+def _packed_composites(words: np.ndarray, lo: int, count: int) -> np.ndarray:
+    """count words whose bit t is 0 exactly when bit lo + t of the table
+    marks a prime.
+
+    lo is a multiple of 64 and may be negative: words outside the table
+    read as composite, so all-ones guard words stand in for them.
+    """
+    w0 = lo >> 6
+    comp = np.full(count, _ONES, dtype=_WORD)
+    a, b = max(w0, 0), min(w0 + count, words.size)
     if a < b:
-        packed = np.packbits(flags[a:b], bitorder="little")
-        buf[(a - lo) >> 3:((a - lo) >> 3) + packed.size] = packed
-    np.invert(buf, out=buf)
-    return buf.view(_WORD)
+        np.invert(words[a:b], out=comp[a - w0:b - w0])
+    return comp
 
 
-def _dense_survivors(flags: np.ndarray, qs: list[int], blo: int,
+def _dense_survivors(words: np.ndarray, qs: list[int], blo: int,
                      m: int) -> tuple[np.ndarray, int]:
     """(i, j): the i, ascending, for which no prime in qs[:j] knocks out
     the even blo + 2i, i < m, with j where the dense steps stopped."""
     nw = -(-m // 64)
-    top = (blo - 4) >> 1  # q = 3 reads the flags from here on
+    top = (blo - 4) >> 1  # q = 3 reads the bits from here on
     lo = ((blo - _DENSE_Q) >> 1) // 64 * 64
-    comp = _packed_composites(flags, lo, (top - lo) // 64 + nw + 1)
+    comp = _packed_composites(words, lo, (top - lo) // 64 + nw + 1)
     # bit i of rem: blo + 2i has no representation found yet
-    rem = np.full(nw, np.iinfo(np.uint64).max, dtype=_WORD)
+    rem = np.full(nw, _ONES, dtype=_WORD)
     if m % 64:
         rem[-1] = (1 << m % 64) - 1
     lo_bits, hi_bits = np.empty_like(rem), np.empty_like(rem)
     j = 0
     while j < len(qs) and (j % 8 or np.count_nonzero(rem) * _SPARSE > nw):
-        # the flags of blo + 2i - q sit at base + i
+        # the bit of blo + 2i - q is base + i
         base = (blo - qs[j] - 1) >> 1
         if base < lo or base + m <= 1:  # outside the window, or all < 3
             break
@@ -151,13 +189,13 @@ def _dense_survivors(flags: np.ndarray, qs: list[int], blo: int,
 
 def _scan_evens(lo: int, hi: int, *, first_only: bool) -> list[int]:
     """Evens in [lo, hi] with no two-prime decomposition, ascending."""
-    flags = _odd_flags(hi)
+    words = _prime_words(hi)
     qs = small_primes(min(hi - 2, 10**6))[1:].tolist()  # the odd primes
     violations: list[int] = []
     start = max(lo, 6)  # 4 = 2 + 2 is the one even needing the prime 2
     for blo in range(start, hi + 1, _BLOCK):
         m = (min(blo + _BLOCK - 2, hi) - blo) // 2 + 1
-        idx, j = _dense_survivors(flags, qs, blo, m)
+        idx, j = _dense_survivors(words, qs, blo, m)
         vals = blo + 2 * idx
         for q in qs[j:]:
             if vals.size == 0:
@@ -167,10 +205,10 @@ def _scan_evens(lo: int, hi: int, *, first_only: bool) -> list[int]:
             if not ok.any():
                 break
             hit = np.zeros(vals.shape, dtype=bool)
-            hit[ok] = flags[(sub[ok] - 1) >> 1]
+            hit[ok] = _gather(words, (sub[ok] - 1) >> 1)
             vals = vals[~hit]
         for n in vals.tolist():
-            if not _odd_rep_exists_slow(n, flags):
+            if not _odd_rep_exists_slow(n, words):
                 violations.append(n)
                 if first_only:
                     return violations
@@ -208,29 +246,24 @@ def count_by_prime_lookup(n: int) -> int:
     _check_even(n)
     if n == 4:
         return 1
-    flags = _odd_flags(n)
+    words = _prime_words(n)
     half = n // 2
-    js = np.flatnonzero(flags[:(half + 1) // 2])  # odd primes 2j + 1 <= n/2
-    return int(np.count_nonzero(flags[half - 1 - js]))
+    end = (half + 1) // 2  # odd primes 2j + 1 <= n/2 have j < end
+    count = 0
+    for a in range(0, end, _CHUNK):
+        js = np.flatnonzero(_bits(words, a, min(a + _CHUNK, end)))
+        count += int(np.count_nonzero(_gather(words, half - 1 - a - js)))
+    return count
 
 
 def count_by_complement_scan(n: int) -> int:
-    """Unordered primes-only count via one reversed-slice AND."""
+    """Unordered primes-only count via a reversed-slice AND, a chunk at a
+    time."""
     _check_even(n)
     if n == 4:
         return 1
-    flags = _odd_flags(n)
-    half = n // 2
-    m_top = half if half % 2 else half - 1
-    if m_top < 3:
-        return 0
-    lo_idx = 1                    # odd value 3
-    hi_idx = (m_top - 1) >> 1
-    mate_lo = (n - m_top - 1) >> 1
-    mate_hi = (n - 3 - 1) >> 1
-    a = flags[lo_idx:hi_idx + 1]
-    b = flags[mate_lo:mate_hi + 1][::-1]
-    return int(np.count_nonzero(a & b))
+    return sum(int(np.count_nonzero(both))
+               for both in _both_prime(_prime_words(n), n))
 
 
 _CONVENTIONS = ("unordered", "ordered")
@@ -282,10 +315,12 @@ def euler_variant_check(limit: int) -> list[int]:
     a, b each 1 or a prime = 1 (mod 4)."""
     if limit < 6:
         raise ValueError("limit must be at least 6")
-    flags = odd_prime_flags(limit)
+    words = _prime_words(limit)
     top = (limit - 1) // 4
     v = 4 * np.arange(top + 1, dtype=np.int64) + 1
-    allowed = flags[(v - 1) >> 1].copy()
+    end = 2 * top + 1  # v = 4t + 1 is bit 2t
+    allowed = np.concatenate([_bits(words, a, min(a + _CHUNK, end))[::2]
+                              for a in range(0, end, _CHUNK)])
     allowed[0] = True  # the unit
     summands = v[allowed]
     rem = np.arange(6, limit + 1, 4, dtype=np.int64)

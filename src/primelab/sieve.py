@@ -25,7 +25,8 @@ for a segment that starts at 2.
 
 fill_segment is the only code that crosses off multiples.  The dense
 odd_prime_flags table is one fill_segment call over [2, bound], the
-base table small_primes is read from it, and the m*m + 1 census in
+base table small_primes is read from it, the bit-packed odd_prime_words
+table is one fill_segment call per segment, and the m*m + 1 census in
 census.py takes its large moduli from _large_hits, the large tier's
 routine.
 
@@ -354,16 +355,44 @@ def count_primes(a: int, b: int, cfg: Config | None = None) -> int:
 def odd_prime_flags(limit: int) -> np.ndarray:
     """Bool array f where f[i] marks 2i+1 prime, covering odds <= limit.
 
-    Dense variant used by the Goldbach counters; costs limit/2 bytes.  Slot 0
-    (the odd 1) is False and the rest is one fill_segment call over
-    [2, limit], whose spare slot is the table's last; the array returned
-    is fresh and writable.
+    The table under small_primes; costs limit/2 bytes.  Slot 0 (the odd
+    1) is False and the rest is one fill_segment call over [2, limit],
+    whose spare slot is the table's last; the array returned is fresh
+    and writable.
     """
     n = (limit + 1) // 2
     table = np.empty(n + 1, dtype=bool)
     table[0] = False
     fill_segment(2, limit + 1, small_primes(isqrt(limit)), out=table[1:])
     return table[:n]
+
+
+def odd_prime_words(limit: int) -> np.ndarray:
+    """Prime bits of the odds <= limit, one bit per odd, packed into
+    little-endian 64-bit words: bit i & 63 of word i >> 6 marks 2i + 1
+    prime.  Bit 0 (the odd 1) and the bits past the last odd are 0.
+
+    Built a default segment at a time: one fill_segment call marks the
+    next segment's odds into one reused bool buffer, and np.packbits
+    packs it into the words, so the table costs limit/16 bytes plus one
+    segment's buffer while it is built.
+    """
+    n = (limit + 1) // 2
+    words = np.zeros(-(-n // 64), dtype="<u8")
+    out = words.view(np.uint8)
+    seg = Config().segment_odds  # a multiple of 8, so segments pack whole
+    base = small_primes(isqrt(limit))
+    buf = np.empty(min(seg, n) + 1, dtype=bool)  # + the spare slot
+    for k0 in range(0, n, seg):
+        k1 = min(k0 + seg, n)
+        if k0:
+            fill_segment(2 * k0, 2 * k1, base, out=buf)
+        else:
+            buf[0] = False  # the odd 1
+            fill_segment(2, 2 * k1, base, out=buf[1:])
+        packed = np.packbits(buf[:k1 - k0], bitorder="little")
+        out[k0 >> 3:(k0 >> 3) + packed.size] = packed
+    return words
 
 
 def is_prime_64(n: int) -> bool:

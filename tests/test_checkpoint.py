@@ -77,31 +77,41 @@ def test_failed_write_leaves_the_previous_file(failing, tmp_path,
     assert os.listdir(tmp_path) == ["cp.jsonl"]  # no .ckpt-* temp file
 
 
+def _no_umask(*args):
+    raise AssertionError("write_checkpoint set the process-wide umask")
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640),
                                          (0o077, 0o600)], ids=oct)
-def test_new_file_takes_the_umask_default(umask, mode, tmp_path):
+def test_new_file_takes_the_umask_default(umask, mode, tmp_path,
+                                          monkeypatch):
     path = tmp_path / "cp.jsonl"
     old = os.umask(umask)
     try:
-        write_checkpoint(str(path), Checkpoint("job@100", 10, {}))
-        assert os.umask(umask) == umask  # the write restores the umask
+        with monkeypatch.context() as mp:
+            mp.setattr(checkpoint_mod.os, "umask", _no_umask)
+            write_checkpoint(str(path), Checkpoint("job@100", 10, {}))
+        assert os.umask(umask) == umask  # the write left the umask alone
     finally:
         os.umask(old)
     assert path.stat().st_mode & 0o777 == mode
 
 
-@pytest.mark.parametrize("mode", [0o640, 0o604, 0o600], ids=oct)
-def test_rewrite_keeps_the_file_mode(mode, tmp_path):
-    path = tmp_path / "cp.jsonl"
-    old = os.umask(0o022)
-    try:
-        write_checkpoint(str(path), Checkpoint("job@100", 10, {}))
-        path.chmod(mode)
-        write_checkpoint(str(path), Checkpoint("job@100", 20, {}))
-    finally:
-        os.umask(old)
-    assert path.stat().st_mode & 0o777 == mode
-    assert read_latest(str(path)).range_done == 20
+@pytest.mark.parametrize("mode", [0o640, 0o604, 0o600, 0o644], ids=oct)
+def test_rewrite_keeps_the_file_mode(mode, tmp_path, monkeypatch):
+    for umask in (0o022, 0o077):
+        path = tmp_path / f"cp-{umask:o}.jsonl"
+        old = os.umask(umask)
+        try:
+            write_checkpoint(str(path), Checkpoint("job@100", 10, {}))
+            path.chmod(mode)
+            with monkeypatch.context() as mp:
+                mp.setattr(checkpoint_mod.os, "umask", _no_umask)
+                write_checkpoint(str(path), Checkpoint("job@100", 20, {}))
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == mode, oct(umask)
+        assert read_latest(str(path)).range_done == 20
 
 
 def test_monotone_progress_enforced(tmp_path):

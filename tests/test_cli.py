@@ -373,6 +373,10 @@ def test_top_of_the_float_range(capsys):
                     "--x", "1e308")
     assert code == 0
     assert out.splitlines()[1].endswith(",2.6325450829902103e+302")
+    code, out = run(capsys, "constants", "predict", "--quantity", "pattern",
+                    "--offsets", "0,2,6,8", "--x", "1e308")
+    assert code == 0
+    assert out.splitlines()[1].endswith(",1.6409903789536654e+297")
     # 7200 * x, in the first bound, leaves the float range
     code = main(["constants", "bounds", "--x", "1e308"])
     captured = capsys.readouterr()

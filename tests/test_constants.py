@@ -327,6 +327,19 @@ def test_predict_pattern_uses_constant():
     assert v == pytest.approx(want, rel=1e-9)
 
 
+def test_predict_finite_at_the_top_of_the_float_range():
+    # h * x leaves the float range before the division by log(x)**k does
+    x, pat = 10**308, (0, 2, 6, 8)
+    v = predict("pattern", x, {"pattern": pat}).value
+    log_v = (math.log(float(pattern_constant(pat, 12))) + math.log(x)
+             - len(pat) * math.log(math.log(x)))
+    assert math.isfinite(v)
+    assert math.log(v) == pytest.approx(log_v, rel=1e-12)
+    for quantity, params in (("l2", {}), ("pi2k", {"k": 3}), ("qn", {}),
+                             ("pattern", {"pattern": (0, 2)})):
+        assert math.isfinite(predict(quantity, x, params).value), quantity
+
+
 def test_predict_goldbach_even_only():
     with pytest.raises(ValueError):
         predict("goldbach_r", 10**6 + 1)

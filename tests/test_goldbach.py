@@ -162,9 +162,24 @@ def test_chen_comparison_shape():
         chen_comparison(100)
 
 
+def _pack(flags):
+    """A bool table as the code's words: bit i & 63 of little-endian
+    64-bit word i >> 6 is flags[i], packed by numpy here."""
+    packed = np.packbits(flags, bitorder="little")
+    pad = np.zeros(-packed.size % 8, dtype=np.uint8)
+    return np.concatenate([packed, pad]).view("<u8")
+
+
+def _use_table(mp, flags):
+    """Make flags, packed, the table the Goldbach scan reads."""
+    mp.setattr(g, "odd_prime_words", lambda limit: _pack(flags[:(limit + 1) // 2]))
+    mp.setattr(g, "_table", None)
+
+
 def _scan_evens_compress_only(lo, hi, first_only, flags):
     """The elimination as one compress-and-gather loop from the first
     prime on: the reference for the dense slice-AND steps."""
+    words = _pack(flags)
     qs = [int(p) for p in small_primes(min(hi - 2, 10**6)) if p > 2]
     violations = []
     start = max(lo, 6)
@@ -182,7 +197,7 @@ def _scan_evens_compress_only(lo, hi, first_only, flags):
             hit[ok] = flags[(sub[ok] - 1) >> 1]
             rem = rem[~hit]
         for n in rem:
-            if not g._odd_rep_exists_slow(int(n), flags):
+            if not g._odd_rep_exists_slow(int(n), words):
                 violations.append(int(n))
                 if first_only:
                     return violations
@@ -233,14 +248,13 @@ def test_scan_evens_matches_compress_only_loop(case, seed):
     elif doctor == "band":
         flags[:max(lo - arg, 0) // 2] = False
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(g, "odd_prime_flags", lambda limit: flags[:(limit + 1) // 2].copy())
-        mp.setattr(g, "_flags_table", None)
+        _use_table(mp, flags)
         want = _scan_evens_compress_only(lo, hi, False, flags)
         assert g._scan_evens(lo, hi, first_only=False) == want
         assert g._scan_evens(lo, hi, first_only=True) == want[:1]
         # every even the elimination leaves, before the exhaustive check
         # can rescue one that a faulty step failed to knock out
-        mp.setattr(g, "_odd_rep_exists_slow", lambda n, flags: False)
+        mp.setattr(g, "_odd_rep_exists_slow", lambda n, words: False)
         want = _scan_evens_compress_only(lo, hi, False, flags)
         assert g._scan_evens(lo, hi, first_only=False) == want
 
@@ -250,32 +264,29 @@ def test_scan_evens_lone_representation(monkeypatch):
     # other odd is "prime", so all other evens go within a few steps and
     # n0 is the lone survivor when the elimination changes method
     lo, hi, n0 = 1000, 1398, 1200
-    monkeypatch.setattr(g, "_odd_rep_exists_slow", lambda n, flags: False)
+    monkeypatch.setattr(g, "_odd_rep_exists_slow", lambda n, words: False)
     qs = [int(q) for q in small_primes(n0 - 3)[1:]]
     for k in range(40):
         flags = np.ones((hi + 1) // 2, dtype=bool)
         flags[0] = False
         for q in qs[:k] + qs[k + 1:]:
             flags[(n0 - q) >> 1] = False
-        monkeypatch.setattr(g, "odd_prime_flags", lambda limit: flags.copy())
-        monkeypatch.setattr(g, "_flags_table", None)
+        _use_table(monkeypatch, flags)
         assert g._scan_evens(lo, hi, first_only=False) == [], qs[k]
         flags[(n0 - qs[k]) >> 1] = False
-        monkeypatch.setattr(g, "_flags_table", None)
+        monkeypatch.setattr(g, "_table", None)
         assert g._scan_evens(lo, hi, first_only=False) == [n0], qs[k]
 
 
 def test_violation_path_reachable(monkeypatch, capsys):
-    real = g.odd_prime_flags
-
     def doctored(limit):
-        flags = real(limit)
+        flags = odd_prime_flags(limit)
         for p in (19, 31, 37, 61, 67, 79):  # 98 = 19+79 = 31+67 = 37+61
             flags[p >> 1] = False
-        return flags
+        return _pack(flags)
 
-    monkeypatch.setattr(g, "odd_prime_flags", doctored)
-    monkeypatch.setattr(g, "_flags_table", None)
+    monkeypatch.setattr(g, "odd_prime_words", doctored)
+    monkeypatch.setattr(g, "_table", None)
     assert verify_goldbach(4, 200) == 98
     assert exceptional_count(200).count == 1
     assert main(["goldbach", "verify", "--from", "4", "--to", "200"]) == 1
@@ -283,20 +294,47 @@ def test_violation_path_reachable(monkeypatch, capsys):
 
 
 def test_shared_table_cold_equals_warm(monkeypatch, prime_set_2e4):
-    monkeypatch.setattr(g, "_flags_table", None)
+    monkeypatch.setattr(g, "_table", None)
     ns = (4, 6, 98, 2 * 4999, 19998)
     cold = [(count_by_prime_lookup(n), count_by_complement_scan(n),
              representation_report(n)) for n in ns]
     assert [c[0] for c in cold] == [brute_unordered(n, prime_set_2e4) for n in ns]
     verify_goldbach(4, 10**6)  # grows the shared table
-    assert g._flags_table.size == (10**6 + 1) // 2
+    assert g._table[0] == (10**6 + 1) // 2  # odds covered
     warm = [(count_by_prime_lookup(n), count_by_complement_scan(n),
              representation_report(n)) for n in ns]
     assert warm == cold
     count_by_prime_lookup(100)  # a smaller limit keeps the larger table
-    assert g._flags_table.size == (10**6 + 1) // 2
+    assert g._table[0] == (10**6 + 1) // 2
     with pytest.raises(ValueError):
-        g._odd_flags(100)[1] = False
+        g._prime_words(100)[0] = 0
+
+
+def test_cold_report_and_verify_peak_below_a_byte_table(monkeypatch):
+    # A byte per odd would hold (2e7 + 1) // 2 bytes, 10 MB, for the
+    # table alone.  The packed table holds 1/8 of that, 1.25 MB; its
+    # build adds one segment's bool buffer (segment_odds + 1 bytes) and
+    # that segment packed, 1/8 as much.  The rest is a few MB at most and
+    # does not grow with the limit: the odd primes below 1e6 as a list
+    # of Python ints (about 3 MB), four 256 KiB words per block, and the
+    # counters' 2**20-bit chunks.  So the bound is 10 MB plus one segment
+    # buffer, below the byte table plus its build.
+    import tracemalloc
+
+    import primelab.sieve as sieve
+    from primelab.config import Config
+
+    monkeypatch.setattr(g, "_table", None)
+    monkeypatch.setattr(sieve, "_small_prime_cache", {})
+    tracemalloc.start()
+    try:
+        rep = representation_report(2 * 10**7)
+        assert verify_goldbach(4, 2 * 10**7) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["unordered"] == 70730  # as counted from a byte-per-odd table
+    assert peak < 10**7 + Config().segment_odds + 1, peak
 
 
 @pytest.fixture(scope="module")
@@ -384,18 +422,17 @@ def test_scan_evens_packed_edges_vs_naive(lo, hi, primes_past_block):
     qs = [q for q in odd if q <= min(hi - 2, 10**6)]
     for blo in edges:
         bhi = min(blo + _BLOCK - 2, hi)
-        idx, j = g._dense_survivors(flags, qs, blo, (bhi - blo) // 2 + 1)
+        idx, j = g._dense_survivors(_pack(flags), qs, blo, (bhi - blo) // 2 + 1)
         assert j >= 8 or idx.size == 0
         dense = (blo + 2 * idx).tolist()
         assert dense == _uneliminated(blo, bhi, members, pset, qs[:j])
         assert {blo, bhi} <= set(dense)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(g, "odd_prime_flags", lambda limit: flags[:(limit + 1) // 2].copy())
-        mp.setattr(g, "_flags_table", None)
+        _use_table(mp, flags)
         assert g._scan_evens(lo, hi, first_only=False) == bare
         assert g._scan_evens(lo, hi, first_only=True) == bare[:1]
         # every even the elimination leaves, before the exhaustive check
-        mp.setattr(g, "_odd_rep_exists_slow", lambda n, flags: False)
+        mp.setattr(g, "_odd_rep_exists_slow", lambda n, words: False)
         assert g._scan_evens(lo, hi, first_only=False) == left
 
 
@@ -406,27 +443,64 @@ def test_scan_evens_lone_survivor_at_word_edges(where, monkeypatch):
     # "prime", so n0 is a lone survivor through the dense steps
     lo, hi = 1000, 1000 + 2 * (64 * 3 + 10 - 1)
     n0 = lo if where == "bit 0" else hi
-    monkeypatch.setattr(g, "_odd_rep_exists_slow", lambda n, flags: False)
+    monkeypatch.setattr(g, "_odd_rep_exists_slow", lambda n, words: False)
     qs = [int(q) for q in small_primes(n0 - 3)[1:]]
     for k in range(40):
         flags = np.ones((hi + 1) // 2, dtype=bool)
         flags[0] = False
         for q in qs[:k] + qs[k + 1:]:
             flags[(n0 - q) >> 1] = False
-        monkeypatch.setattr(g, "odd_prime_flags", lambda limit: flags.copy())
-        monkeypatch.setattr(g, "_flags_table", None)
+        _use_table(monkeypatch, flags)
         assert g._scan_evens(lo, hi, first_only=False) == [], qs[k]
         flags[(n0 - qs[k]) >> 1] = False
-        monkeypatch.setattr(g, "_flags_table", None)
+        monkeypatch.setattr(g, "_table", None)
         assert g._scan_evens(lo, hi, first_only=False) == [n0], qs[k]
 
 
 def test_packed_composites_guard_and_byte_order():
     flags = np.array([False, True, True, False, True] + [False] * 70)
-    words = g._packed_composites(flags, -64, 3)
+    words = g._packed_composites(_pack(flags), -64, 3)
     assert words.dtype == np.dtype("<u8")
     assert words[0] == np.iinfo(np.uint64).max  # guard: all composite
     assert words[1] == ~np.uint64(0b10110)
     # flags[64:75] mark no prime, and indices 75 and up lie past flags
     assert words[2] == np.iinfo(np.uint64).max
     assert words.view(np.uint8)[8] == 0xFF ^ 0b10110
+    # the table is 2 words long: a word past it is a guard too
+    past = g._packed_composites(_pack(flags), 0, 3)
+    assert past[0] == ~np.uint64(0b10110)
+    assert past[1] == past[2] == np.iinfo(np.uint64).max
+
+
+def test_bit_readers_match_a_bool_table(rng):
+    flags = np.random.default_rng(7).random(1000) < 0.3
+    words = _pack(flags)
+    for _ in range(200):
+        s = rng.randrange(0, 1001)
+        e = rng.randrange(s, 1001)
+        assert (g._bits(words, s, e) == flags[s:e]).all(), (s, e)
+        assert (g._bits_reversed(words, s, e) == flags[s:e][::-1]).all(), (s, e)
+    i = np.arange(1000, dtype=np.int64)
+    assert (g._gather(words, i) == flags).all()
+
+
+def test_table_grows_within_its_last_word(monkeypatch, prime_set_2e4):
+    # 100 and 118 need 50 and 59 odds, both in the table's first word:
+    # the larger limit must still rebuild it
+    monkeypatch.setattr(g, "_table", None)
+    for n in (100, 118, 126, 128):
+        assert count_by_prime_lookup(n) == brute_unordered(n, prime_set_2e4)
+        assert count_by_complement_scan(n) == brute_unordered(n, prime_set_2e4)
+    assert g._table[0] == (128 + 1) // 2
+
+
+def test_counters_cross_chunk_edges(monkeypatch, prime_set_2e4):
+    # with 64-bit chunks the counters and the exhaustive check join many
+    # chunks, with every alignment of the low and the mate range
+    monkeypatch.setattr(g, "_CHUNK", 64)
+    for n in list(range(4, 600, 2)) + [19998]:
+        want = brute_unordered(n, prime_set_2e4)
+        assert count_by_prime_lookup(n) == want, n
+        assert count_by_complement_scan(n) == want, n
+        if n > 4:
+            assert g._odd_rep_exists_slow(n, g._prime_words(n)) == (want > 0)

@@ -25,6 +25,7 @@ from primelab.sieve import (
     is_prime_64,
     iter_primes,
     odd_prime_flags,
+    odd_prime_words,
     prime_values,
     primes_array,
     prp_test,
@@ -332,6 +333,39 @@ def test_odd_prime_flags_layout(prime_set_1e6, monkeypatch):
                                 for i in range((b + 1) // 2)], b
         again = odd_prime_flags(b)
         assert not np.shares_memory(got, again), b  # a fresh table each call
+
+
+def _unpack_words(words, limit):
+    assert words.dtype == np.dtype("<u8")
+    n = (limit + 1) // 2
+    assert words.size == -(-n // 64)
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    assert not bits[n:].any()  # the last word is padded with 0
+    return bits[:n].astype(bool)
+
+
+def test_odd_prime_words_layout(monkeypatch):
+    import primelab.sieve as sieve
+    for b in EDGE_BOUNDS:
+        monkeypatch.setattr(sieve, "_small_prime_cache", {})
+        primes = set(naive_sieve(b))
+        assert _unpack_words(odd_prime_words(b), b).tolist() == [
+            2 * i + 1 in primes for i in range((b + 1) // 2)], b
+    # two whole default segments and part of a third
+    b = 4 * Config().segment_odds + 2 * 37 + 1
+    assert (_unpack_words(odd_prime_words(b), b) == odd_prime_flags(b)).all()
+
+
+@pytest.mark.parametrize("segment_bytes", [1 << 10, 3 << 10])
+def test_odd_prime_words_small_segments(segment_bytes, monkeypatch):
+    # many segments, each packed into the words at its own offset
+    import primelab.sieve as sieve
+    monkeypatch.setattr(sieve, "Config",
+                        lambda: Config(segment_bytes=segment_bytes))
+    primes = set(naive_sieve(10**5))
+    for b in (10**5, 10**5 - 1, 2 * segment_bytes, 2 * segment_bytes + 1):
+        assert _unpack_words(odd_prime_words(b), b).tolist() == [
+            2 * i + 1 in primes for i in range((b + 1) // 2)], b
 
 
 def test_is_prime_64_exhaustive_small(prime_set_1e6):
