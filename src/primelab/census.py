@@ -19,7 +19,6 @@ from .errors import CheckpointError, MathViolationError, ResourceLimitError
 from .scan import Kernel, normalize_marks, scan
 from .sieve import (
     INT64_BOUND,
-    Walk,
     _large_hits,
     _odd_count,
     instance_chunks,
@@ -453,6 +452,33 @@ def _even_perfects_upto(bound: int) -> list[int]:
     return out
 
 
+class _PerfectHalfSums(Kernel):
+    """Twin pairs (p, p + 2) whose half-sum p + 1 is in perfect; every
+    twin start p > 5 is checked for 6 | p + 1."""
+
+    reach = 2
+
+    def __init__(self, limit: int, perfect: list[int]):
+        self.task_id = f"perfect_half_sum@{limit}"
+        self.starts = [n - 1 for n in perfect]
+
+    def empty(self) -> tuple:
+        return ()
+
+    def segment(self, lo: int, hi: int, bits: np.ndarray) -> tuple:
+        hits = []
+        for i, inst in instance_chunks(bits, _odd_count(lo, hi), (1,)):
+            ps = lo + 1 + 2 * (i + np.flatnonzero(inst))
+            if ((ps[ps > 5] + 1) % 6).any():
+                raise MathViolationError(
+                    "twin start p > 5 with p+1 not a multiple of 6")
+            hits += ps[np.isin(ps, self.starts)].tolist()
+        return tuple((p, p + 2) for p in hits)
+
+    def merge(self, acc: tuple, part: tuple) -> tuple:
+        return acc + part
+
+
 def perfect_half_sum_scan(limit: int) -> list[tuple[int, int]]:
     """Twin pairs (p, p+2) with p <= limit whose half-sum p+1 is perfect.
 
@@ -461,19 +487,8 @@ def perfect_half_sum_scan(limit: int) -> list[tuple[int, int]]:
     """
     if limit < 7:
         raise ValueError("limit must be at least 7")
-    perfect = set(_even_perfects_upto(limit + 1))
-    out: list[tuple[int, int]] = []
-    for lo, hi, bits in Walk(limit + 1, reach=2).segments(2, limit + 1):
-        m = _odd_count(lo, hi)
-        inst = bits[:m] & bits[1:1 + m]
-        ps = lo + 1 + 2 * np.flatnonzero(inst).astype(np.int64)
-        big = ps[ps > 5]
-        if len(big) and ((big + 1) % 6).any():
-            raise MathViolationError("twin start p > 5 with p+1 not a multiple of 6")
-        for p in map(int, ps):
-            if p + 1 in perfect:
-                out.append((p, p + 2))
-    return out
+    kernel = _PerfectHalfSums(limit, _even_perfects_upto(limit + 1))
+    return list(scan(2, limit + 1, kernel))
 
 
 @dataclass(frozen=True)

@@ -665,6 +665,8 @@ def predict(quantity: str, x: int, params: dict | None = None) -> Prediction:
     Tags: pi2k (pairs at gap 2k; params k), l2 (the li2-based pair count),
     pattern (params pattern; count ~ H * x / log(x)**k), goldbach_r
     (representations of the even number x), qn (primes m*m+1 up to x).
+    x may be any integer from 10 up to the float range, except for
+    goldbach_r, which factors x and so needs x < 2**64.
     """
     params = dict(params or {})
     if quantity not in _PREDICT_TAGS:
@@ -690,6 +692,9 @@ def predict(quantity: str, x: int, params: dict | None = None) -> Prediction:
     elif quantity == "goldbach_r":
         if x % 2:
             raise ValueError("goldbach_r needs an even number")
+        if x >= 1 << 64:
+            raise ValueError(f"goldbach_r factors x, so it needs x < 2**64;"
+                             f" x = {x:.6g}")
         value = 2 * alpha * (x / lx**2) * _odd_factor_product(x)
     else:  # qn
         value = 2 * _quad_float() * math.sqrt(x) / lx

@@ -6,6 +6,22 @@ two ranges merge, and results are identical for any segment size, thread
 count or checkpoint stride.  A gap belongs to its starting prime p; the
 successor is looked up past the scan bound when p is the last prime in
 range.  The unique odd gap 1 (from 2 to 3) is kept for completeness.
+
+A segment is read in chunks of sieve._AND_CHUNK odds (instance_chunks),
+so no temporary grows with the segment: the last prime is carried from
+chunk to chunk, and the chunk's statistics are joined in order.  A
+kernel may ask a chunk only for its gaps of at least 2 * half, its
+floor; from BLOCK_SCAN_GAP on these are read from the chunk's aligned
+all-composite blocks (_gap_ends), not from its every prime.
+
+The gap statistics (_GapStats) raise their floor as the segment goes.
+Once every even gap up to G has its first occurrence in the segment's
+table, a gap g <= G changes nothing: its first occurrence is already
+held, and it is no record, since a gap of G occurred and every record
+is the largest gap so far.  So the floor is the least even gap not yet
+held, and the table is the one every gap would give; results cannot
+depend on where the floor stands.  Near 1e9 it passes 64 after a
+segment's first chunk, and most chunks then hold a few gaps above it.
 """
 from __future__ import annotations
 
@@ -18,7 +34,7 @@ import numpy as np
 
 from .config import Config
 from .scan import Kernel, scan
-from .sieve import _odd_count, count_primes, is_prime_64, prime_values
+from .sieve import _odd_count, count_primes, instance_chunks, is_prime_64
 
 __all__ = [
     "GapRecord",
@@ -37,12 +53,18 @@ __all__ = [
 
 _KINDS = ("first_occurrence", "maximal")
 
-# _GapHunt reads only the long composite runs for gaps from this size
-# on.  Below it most blocks of g // 4 odds are empty, so listing their
-# runs costs more than listing every prime: at 1e12, a 4M-odd segment
-# took 15-21 ms by blocks against 12-13 ms directly for g from 8 to 40,
-# and 4 ms against 12 ms at g = 100.
+# Gaps from this size on are read from the long composite runs only
+# (at least 32, so a block is whole 64-bit words).  Below it most blocks
+# of g // 4 odds are empty, so listing their runs costs more than listing
+# every prime: at 1e12, a 4M-odd segment took 15-21 ms by blocks against
+# 12-13 ms directly for g from 8 to 40, and 4 ms against 12 ms at g =
+# 100.  A chunk of 2**16 odds near 1e9 took 60-80 us by blocks against
+# 150-200 us directly for gaps from 100 on.
 BLOCK_SCAN_GAP = 64
+
+# a segment's gaps are put into its statistics, and its floor raised,
+# once this many have been found
+_BATCH = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -76,29 +98,57 @@ class IntervalCount(NamedTuple):
     ratio: float
 
 
-def _last_true(flags: np.ndarray) -> int | None:
-    """Index of the last True in flags (None if none), read from the end
-    in growing chunks rather than by a reversed copy of the whole array."""
-    end, size = len(flags), 256
-    while end > 0:
-        start = max(0, end - size)
-        found = np.flatnonzero(flags[start:end])
-        if len(found):
-            return start + int(found[-1])
-        end, size = start, 2 * size
-    return None
+def _gap_ends(flags: np.ndarray, half: int):
+    """(first, last, a, b) over the marked indices of flags: the first and
+    the last, and the starts a and ends b (int64 arrays) of the gaps
+    between consecutive ones with b - a >= half >= 1; None if none is
+    marked.
 
-
-def _block_any(blocks: np.ndarray) -> np.ndarray:
-    """blocks.any(axis=1) for a power-of-two row width, by pairwise ORs
-    along the flat array: one vector op per halving, not one per row."""
-    nb, width = blocks.shape
-    flat = blocks.reshape(-1)
-    if width >= 8:
-        flat, width = flat.view(np.uint64) != 0, width // 8
-    while width > 1:
-        flat, width = flat[0::2] | flat[1::2], width // 2
-    return flat
+    From 2 * half >= BLOCK_SCAN_GAP, and when flags is a whole number of
+    blocks of width odds, the largest power of two <= half / 2, only the
+    blocks are read: a gap of h >= half odds leaves h - 1 >= 2 * width - 1
+    composite odds between its ends, so they cover an aligned block.
+    """
+    width = 1 << max(half // 2, 1).bit_length() - 1
+    if 2 * half < BLOCK_SCAN_GAP or len(flags) % width:
+        idx = flags.nonzero()[0]
+        if not len(idx):
+            return None
+        a, b = idx[:-1], idx[1:]
+        if half > 1:
+            wide = b - a >= half
+            a, b = a[wide], b[wide]
+        return int(idx[0]), int(idx[-1]), a, b
+    # which blocks hold a marked index, by pairwise ORs of 64-bit words
+    busy, w = flags.view(np.uint64), width // 8
+    while w > 1:
+        busy, w = busy[0::2] | busy[1::2], w // 2
+    busy = busy.astype(bool)
+    first = int(busy.argmax())
+    if not busy[first]:
+        return None
+    last = len(busy) - 1 - int(busy[::-1].argmax())
+    # a run of k empty blocks lies between the last marked index of the
+    # block before it and the first of the block after it, so it holds a
+    # gap of h odds, k * width < h < (k + 2) * width; as half < 4 * width,
+    # it may hold one of h >= half when k >= 2, or k >= 1 if half < 3 *
+    # width.  Runs of 2 are runs of 1 in an AND of neighbours.
+    two = half >= 3 * width
+    empty = ~busy[first:last + 1]
+    if two:
+        empty = empty[:-1] & empty[1:]
+    turns = (empty[1:] != empty[:-1]).nonzero()[0]  # runs start, end, ...
+    blocks = flags.reshape(-1, width)
+    first = first * width + int(blocks[first].argmax())
+    last = (last + 1) * width - 1 - int(blocks[last, ::-1].argmax())
+    if not len(turns):  # no run is long enough, as most often
+        return first, last, turns, turns
+    turns += first // width + 1
+    r0, r1 = turns[0::2], turns[1::2] + two
+    a = r0 * width - 1 - blocks[r0 - 1, ::-1].argmax(axis=1)
+    b = r1 * width + blocks[r1].argmax(axis=1)
+    wide = b - a >= half
+    return first, last, a[wide], b[wide]
 
 
 class _GapCarry(NamedTuple):
@@ -115,7 +165,10 @@ class _GapKernel(Kernel):
     looks up the successor of the last prime.  Primes above the bound are
     ignored, so the kernel may run under a walk that goes past it.  A
     subclass gives NONE, the statistics of no gaps; stats(starts, gaps),
-    those of a gap array; and join(a, b), those of a's gaps then b's.
+    those of a gap array; and join(a, b), those of a's gaps then b's.  It
+    may give floor(stats): half the least gap that can change stats, so
+    that a chunk reports only its gaps from twice the floor on (and the
+    one across its start).
     """
 
     def __init__(self, bound: int):
@@ -124,15 +177,36 @@ class _GapKernel(Kernel):
     def empty(self) -> _GapCarry:
         return _GapCarry(None, None, self.NONE)
 
+    def floor(self, stats) -> int:
+        return 1
+
     def segment(self, lo: int, hi: int, bits: np.ndarray) -> _GapCarry:
         top = min(hi, self.bound + 1)
-        if top <= lo:
-            return self.empty()
-        ps = prime_values(lo, bits[:_odd_count(lo, top)])
-        if not len(ps):
-            return self.empty()
-        return _GapCarry(int(ps[0]), int(ps[-1]), self.stats(
-            ps[:-1], np.diff(ps)) if len(ps) > 1 else self.NONE)
+        first = last = 2 if lo == 2 < top else None  # no bit holds 2
+        stats, found, held = self.NONE, [], 0
+        half = self.floor(stats)
+        for i, flags in instance_chunks(bits, _odd_count(lo, top), ()):
+            ends = _gap_ends(flags, half)
+            if ends is None:
+                continue
+            f, l, a, b = ends
+            at = lo + 1 + 2 * i  # the odd of flags[0]
+            if last is None:
+                first = at + 2 * f
+            elif half == 1 or at + 2 * f - last >= 2 * half:
+                found.append(([last], [at + 2 * f - last]))  # across the edge
+            if len(a):
+                found.append((at + 2 * a, 2 * (b - a)))
+                held += len(a)
+            last = at + 2 * l
+            if held >= _BATCH:  # few gaps pass a high floor: batch them
+                stats = self.join(stats, self.stats(
+                    *map(np.concatenate, zip(*found))))
+                half, found, held = self.floor(stats), [], 0
+        if found:
+            stats = self.join(stats, self.stats(
+                *map(np.concatenate, zip(*found))))
+        return _GapCarry(first, last, stats)
 
     def _then_gap(self, stats: tuple, p: int, q: int) -> tuple:
         return self.join(stats, self.stats(np.array([p]), np.array([q - p])))
@@ -179,6 +253,12 @@ class _GapStats(_GapKernel):
         rec = np.concatenate(([0], np.flatnonzero(gaps[1:] > best[:-1]) + 1))
         return _GapTable(dict(zip(seen.tolist(), starts[at[seen]].tolist())),
                          tuple(zip(starts[rec].tolist(), gaps[rec].tolist())))
+
+    def floor(self, table: _GapTable) -> int:
+        g = 2  # the least even gap not held; none below it changes table
+        while g in table.firsts:
+            g += 2
+        return g // 2
 
     def join(self, a: _GapTable, b: _GapTable) -> _GapTable:
         top = a.maximal[-1][1] if a.maximal else 0
@@ -366,40 +446,8 @@ class _GapHunt(_GapKernel):
     def done(self, state: _GapCarry) -> bool:
         return state.stats is not None
 
-    def segment(self, lo: int, hi: int, bits: np.ndarray) -> _GapCarry:
-        if self.gap < BLOCK_SCAN_GAP or lo == 2:
-            return super().segment(lo, hi, bits)
-        # a gap g leaves g/2 - 1 >= 2 * width - 1 composite odds between
-        # its primes, so they cover an aligned all-composite block
-        width = 1 << ((self.gap // 4).bit_length() - 1)
-        nb = len(bits) // width
-        blocks = bits[:nb * width].reshape(nb, width)
-        busy = _block_any(blocks)
-        last = _last_true(busy)
-        if last is None:
-            return super().segment(lo, hi, bits)
-        first = int(np.argmax(busy))
-        first = first * width + int(np.argmax(blocks[first]))
-        # up to the last prime in whole blocks, each run of k empty blocks
-        # lies between a prime in the block before it and one in the block
-        # after it, so it can hold a gap of g/2 odds only if
-        # k * width < g/2 < (k + 2) * width
-        edges = np.diff(busy[:last + 1].view(np.int8))
-        r0 = np.flatnonzero(edges == -1) + 1
-        r1 = np.flatnonzero(edges == 1) + 1
-        r1 = r1[len(r1) - len(r0):]  # a run at block 0 starts before lo
-        half, k = self.gap // 2, r1 - r0
-        fits = (k * width < half) & (half < (k + 2) * width)
-        r0, r1 = r0[fits], r1[fits]
-        prev = r0 * width - 1 - np.argmax(blocks[r0 - 1, ::-1], axis=1)
-        nxt = r1 * width + np.argmax(blocks[r1], axis=1)
-        hit = np.flatnonzero(nxt - prev == half)
-        # from that last prime on, the primes are read directly
-        q = last * width + _last_true(blocks[last])
-        tail = super().segment(lo + 2 * q, hi, bits[q:])
-        return _GapCarry(lo + 1 + 2 * first, tail.last,
-                         lo + 1 + 2 * int(prev[hit[0]]) if len(hit)
-                         else tail.stats)
+    def floor(self, stats: int | None) -> int:
+        return max(self.gap // 2, 1)
 
     def dump(self, state: _GapCarry) -> dict:
         if state.stats is not None:

@@ -72,6 +72,8 @@ _WORD = np.dtype("<u8")
 _ONES = np.iinfo(np.uint64).max
 # the counters and the exhaustive check unpack this many bits at a time
 _CHUNK = 1 << 20
+# euler_variant_check takes this many n = 2 (mod 4) at a time
+_EULER_WINDOW = 1 << 17
 
 # the table this process keeps, as (odds it covers, words); see _prime_words
 _table: tuple[int, np.ndarray] | None = None
@@ -310,35 +312,42 @@ def representation_report(n: int) -> dict:
 # ---------------------------------------------------------------------------
 # Variants.
 
+def _euler_summands(words: np.ndarray, limit: int) -> Iterator[int]:
+    """1, then the primes = 1 (mod 4) up to limit, ascending, read from the
+    table 2**12 bits at a time."""
+    yield 1
+    end = (limit + 1) // 2  # bit j < end marks the odd 2j + 1 <= limit
+    for a in range(0, end, 1 << 12):
+        # bit a + 2t marks 2a + 4t + 1
+        t = np.flatnonzero(_bits(words, a, min(a + (1 << 12), end))[::2])
+        yield from (2 * a + 1 + 4 * t).tolist()
+
+
 def euler_variant_check(limit: int) -> list[int]:
     """Violations of: every n = 2 (mod 4) in [6, limit] is a + b with
-    a, b each 1 or a prime = 1 (mod 4)."""
+    a, b each 1 or a prime = 1 (mod 4).
+
+    The n are taken _EULER_WINDOW at a time; ascending summands a knock
+    out the n for which n - a is allowed, until none is left or a passes
+    them all.
+    """
     if limit < 6:
         raise ValueError("limit must be at least 6")
     words = _prime_words(limit)
-    top = (limit - 1) // 4
-    v = 4 * np.arange(top + 1, dtype=np.int64) + 1
-    end = 2 * top + 1  # v = 4t + 1 is bit 2t
-    allowed = np.concatenate([_bits(words, a, min(a + _CHUNK, end))[::2]
-                              for a in range(0, end, _CHUNK)])
-    allowed[0] = True  # the unit
-    summands = v[allowed]
-    rem = np.arange(6, limit + 1, 4, dtype=np.int64)
     violations: list[int] = []
-    for a in summands:
-        if rem.size == 0:
-            break
-        b = rem - a
-        ok = b >= 1
-        if not ok.any():
-            violations.extend(int(x) for x in rem)
-            rem = rem[:0]
-            break
-        hit = np.zeros(rem.shape, dtype=bool)
-        hit[ok] = allowed[(b[ok] - 1) >> 2]
-        rem = rem[~hit]
-    violations.extend(int(x) for x in rem)
-    return sorted(violations)
+    for lo in range(6, limit + 1, 4 * _EULER_WINDOW):
+        rem = np.arange(lo, min(lo + 4 * _EULER_WINDOW, limit + 1), 4)
+        for a in _euler_summands(words, limit):
+            if not rem.size or rem[-1] <= a:
+                break
+            b = rem - a  # = 1 (mod 4): b >> 1 is the bit of an odd b
+            i = np.maximum(b, 1)  # b < 1 reads the bit of 1, not prime
+            i >>= 1
+            hit = _gather(words, i).view(bool)
+            hit |= b == 1  # the unit
+            rem = rem[~hit]
+        violations.extend(rem.tolist())
+    return violations
 
 
 def euler_variant_witness(n: int) -> tuple[int, int]:

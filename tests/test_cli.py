@@ -368,6 +368,19 @@ def test_x_past_the_float_range_exits_2(command, capsys):
         assert captured.err.count("\n") == 1
 
 
+def test_goldbach_r_past_2_64_names_x_and_the_domain(capsys):
+    for x in ("1e308", str(2**64)):
+        code = main(["constants", "predict", "--quantity", "goldbach_r",
+                     "--x", x])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: goldbach_r factors x, so it needs "
+                                f"x < 2**64; x = {int(float(x)):.6g}\n")
+    code, out = run(capsys, "constants", "predict", "--quantity",
+                    "goldbach_r", "--x", str(2**64 - 2))
+    assert code == 0 and out.startswith("quantity,x,value\n")
+
+
 def test_top_of_the_float_range(capsys):
     code, out = run(capsys, "constants", "predict", "--quantity", "l2",
                     "--x", "1e308")
