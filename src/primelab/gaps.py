@@ -124,26 +124,26 @@ def _gap_ends(flags: np.ndarray, half: int):
     while w > 1:
         busy, w = busy[0::2] | busy[1::2], w // 2
     busy = busy.astype(bool)
-    first = int(busy.argmax())
-    if not busy[first]:
+    b0 = int(busy.argmax())  # the first and last busy blocks
+    if not busy[b0]:
         return None
-    last = len(busy) - 1 - int(busy[::-1].argmax())
+    b1 = len(busy) - 1 - int(busy[::-1].argmax())
     # a run of k empty blocks lies between the last marked index of the
     # block before it and the first of the block after it, so it holds a
     # gap of h odds, k * width < h < (k + 2) * width; as half < 4 * width,
     # it may hold one of h >= half when k >= 2, or k >= 1 if half < 3 *
     # width.  Runs of 2 are runs of 1 in an AND of neighbours.
     two = half >= 3 * width
-    empty = ~busy[first:last + 1]
+    empty = ~busy[b0:b1 + 1]
     if two:
         empty = empty[:-1] & empty[1:]
     turns = (empty[1:] != empty[:-1]).nonzero()[0]  # runs start, end, ...
     blocks = flags.reshape(-1, width)
-    first = first * width + int(blocks[first].argmax())
-    last = (last + 1) * width - 1 - int(blocks[last, ::-1].argmax())
+    first = b0 * width + int(blocks[b0].argmax())
+    last = (b1 + 1) * width - 1 - int(blocks[b1, ::-1].argmax())
     if not len(turns):  # no run is long enough, as most often
         return first, last, turns, turns
-    turns += first // width + 1
+    turns += b0 + 1
     r0, r1 = turns[0::2], turns[1::2] + two
     a = r0 * width - 1 - blocks[r0 - 1, ::-1].argmax(axis=1)
     b = r1 * width + blocks[r1].argmax(axis=1)
@@ -194,7 +194,8 @@ class _GapKernel(Kernel):
             if last is None:
                 first = at + 2 * f
             elif half == 1 or at + 2 * f - last >= 2 * half:
-                found.append(([last], [at + 2 * f - last]))  # across the edge
+                # the gap across the chunk's start, unless below the floor
+                found.append(([last], [at + 2 * f - last]))
             if len(a):
                 found.append((at + 2 * a, 2 * (b - a)))
                 held += len(a)
