@@ -64,6 +64,35 @@ PI2_MILESTONES = (
 )
 
 # ---------------------------------------------------------------------------
+# Prime counts pi(x) by power-of-ten limit: published counts, so an
+# oracle for the sieve that shares no code with it.
+
+_A006880 = "OEIS A006880: number of primes < 10^n"
+
+PI_BY_DECADE = MappingProxyType({
+    10**1: RefValue(4, _A006880),
+    10**2: RefValue(25, _A006880),
+    10**3: RefValue(168, _A006880),
+    10**4: RefValue(1229, _A006880),
+    10**5: RefValue(9592, _A006880),
+    10**6: RefValue(78498, _A006880),
+    10**7: RefValue(664579, _A006880),
+    10**8: RefValue(5761455, _A006880),
+    10**9: RefValue(50847534, _A006880),
+    10**10: RefValue(455052511, _A006880),
+    10**11: RefValue(4118054813, _A006880),
+    10**12: RefValue(37607912018, _A006880),
+    10**13: RefValue(346065536839, _A006880),
+    10**14: RefValue(3204941750802, _A006880),
+    10**15: RefValue(29844570422669, _A006880),
+    10**16: RefValue(279238341033925, _A006880),
+    10**17: RefValue(2623557157654233, _A006880),
+    10**18: RefValue(24739954287740860, _A006880),
+    10**19: RefValue(234057667276344607, _A006880),
+    10**20: RefValue(2220819602560918840, _A006880),
+})
+
+# ---------------------------------------------------------------------------
 # L2(x) - pi_2(x): difference between the density-integral prediction
 # L2(x) = 2 alpha li2(x) and the exact census, as classically tabulated.
 
@@ -219,6 +248,7 @@ INGHAM_THETA = RefValue(Fraction(38, 61), "Ingham's interval exponent")
 def all_tables() -> dict:
     """Every dataset in one mapping, for the report generator."""
     return {
+        "pi_by_decade": PI_BY_DECADE,
         "pi2_by_decade": PI2_BY_DECADE,
         "pi2_extreme_rows": PI2_EXTREME_ROWS,
         "pi2_1e16_predicted": PI2_1E16_PREDICTED,

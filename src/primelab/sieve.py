@@ -23,12 +23,18 @@ large primes by separate methods:
 The prime 2 never appears in a bit array; prime_values puts it first
 for a segment that starts at 2.
 
-fill_segment is the only code that crosses off multiples.  The dense
-odd_prime_flags table is one fill_segment call over [2, bound], the
-base table small_primes is read from it, the bit-packed odd_prime_words
-table is one fill_segment call per segment, and the m*m + 1 census in
-census.py takes its large moduli from _large_hits, the large tier's
-routine.
+fill_segment is the only code that crosses off multiples.  The base
+table small_primes is built one fill_segment call per block of BLOCK
+odds, the dense odd_prime_flags table is one fill_segment call over
+[2, bound], the bit-packed odd_prime_words table is one fill_segment
+call per segment, and the m*m + 1 census in census.py takes its large
+moduli from _large_hits, the large tier's routine.
+
+Memory does not grow with the base table beyond the table itself:
+small_primes(B) holds its int64 primes and one block's flags and primes
+while it is built, and fill_segment works through the large primes
+_LARGE_CHUNK at a time, so its temporaries are one chunk's, however
+many base primes a segment reads.
 
 The kernel computes in int64.  Every value it forms stays below hi plus
 the largest base prime it uses, so a window [lo, hi) is accepted only
@@ -69,6 +75,11 @@ _TRIAL_LIMIT = 10**4
 # core's L2 cache beside the base primes.  Primes below BLOCK // 64 hit a
 # block at least 64 times and are crossed off block by block.
 BLOCK = 1 << 20
+
+# fill_segment takes its large primes this many at a time: their first
+# hits and the passes over them then need a few arrays of one chunk, not
+# of every base prime (17M of them at 1e17).
+_LARGE_CHUNK = 1 << 16
 
 # The slice loops assign this 0-d array, not the scalar False: numpy then
 # skips converting a Python scalar, which halves the cost of a short slice.
@@ -131,23 +142,45 @@ def prime_values(lo: int, bits: np.ndarray) -> np.ndarray:
 _small_prime_cache: dict[int, np.ndarray] = {}
 
 
+def _pi_upper(x: int) -> int:
+    """An upper bound on pi(x) for x >= 2: pi(x) < 1.25506 x / ln x for
+    x > 1 (Rosser and Schoenfeld, Illinois J. Math. 6 (1962), Cor. 1)."""
+    return int(1.25506 * x / math.log(x)) + 1
+
+
 def small_primes(bound: int) -> np.ndarray:
     """Primes <= bound, cached (read-only int64 array).
 
-    The table is read from odd_prime_flags(bound), whose base primes
-    up to isqrt(bound) come from this function; the slot of the odd 1
-    stands for the prime 2, so no copy is made to put 2 first.  One
-    table is kept; a smaller bound gets a prefix view of it.
+    Built a block at a time: fill_segment marks the odds of [2, 2 BLOCK),
+    then of each [2k BLOCK, 2(k + 1) BLOCK), into one reused buffer of
+    BLOCK flags, with base primes up to isqrt(bound) from this function,
+    and each block's primes go straight into one int64 table sized by
+    _pi_upper(bound) after the 2 in its first slot.  The filled prefix is
+    returned; the tail past it is never written, so its pages never
+    become resident.  One table is kept; a smaller bound gets a prefix
+    view of it.
     """
     for b, arr in _small_prime_cache.items():
         if b >= bound:
             return arr[:np.searchsorted(arr, bound, side="right")]
-    arr = np.empty(0, dtype=np.int64)
-    if bound >= 2:
-        flags = odd_prime_flags(bound)
-        flags[0] = True  # the odd 1's slot holds the prime 2
-        arr = prime_values(0, flags)
-        arr[0] = 2
+    if bound < 2:
+        arr = np.empty(0, dtype=np.int64)
+    else:
+        table = np.empty(_pi_upper(bound), dtype=np.int64)
+        table[0] = 2
+        k = 1
+        base = small_primes(isqrt(bound))
+        buf = np.empty(min(BLOCK, (bound + 1) // 2) + 1, dtype=bool)
+        for b0 in range(0, bound + 1, 2 * BLOCK):
+            lo = max(b0, 2)
+            odds = np.flatnonzero(fill_segment(
+                lo, min(b0 + 2 * BLOCK, bound + 1), base, out=buf))
+            vals = table[k:k + len(odds)]
+            np.multiply(odds, 2, out=vals)
+            vals += lo + 1
+            k += len(odds)
+            del odds  # freed before the next block's primes are found
+        arr = table[:k]
     arr.setflags(write=False)
     _small_prime_cache.clear()
     _small_prime_cache[bound] = arr
@@ -184,7 +217,8 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
       and per cache-sized block of BLOCK odds, block by block;
     - p < max(64, n // 64): one slice per prime over the whole segment;
     - larger p hit the segment fewer than 64 times each, and cross off
-      together, one vectorised pass per hit (_large_hits).
+      together, _LARGE_CHUNK primes at a time, one vectorised pass per
+      hit (_large_hits).
     """
     if lo % 2 != 0 or lo < 2:
         raise ValueError("segment lo must be even and >= 2")
@@ -219,17 +253,10 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
         if lo < p < hi:
             bits[(p - lo - 1) >> 1] = True
     ps = ps[np.searchsorted(ps, _WHEEL[-1], side="right"):]
-    # index of each prime's first odd multiple >= max(p*p, lo + 1): the
-    # odd multiples of p have odd indices (p - 1)/2 (mod p), and bit i is
-    # odd index lo/2 + i; computed in one array, as a second array this
-    # size on every call may come from freshly faulted pages
-    starts = (ps >> 1) - (lo >> 1)
-    np.remainder(starts, ps, out=starts)
     j = int(np.searchsorted(ps, isqrt(lo) + 1))  # primes with p*p > lo
-    tail = ps[j:]
-    np.maximum(starts[j:], (tail * tail - (lo + 1)) >> 1, out=starts[j:])
     split = int(np.searchsorted(ps, max(64, n // 64)))
     blocked = int(np.searchsorted(ps[:split], BLOCK // 64))
+    starts = _first_hits(lo, ps[:split], j)
     bs, bp = starts[:blocked], ps[:blocked]
     for b0 in range(0, n, BLOCK):
         b1 = min(b0 + BLOCK, n)
@@ -238,16 +265,30 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
                 bits[i:b1:p] = _FALSE
         # each prime's first multiple at or past b1
         bs = np.maximum(bs, b1 + np.remainder(bs - b1, bp))
-    for i, p in zip(starts[blocked:split].tolist(), ps[blocked:split].tolist()):
+    for i, p in zip(starts[blocked:].tolist(), ps[blocked:split].tolist()):
         if i < n:
             bits[i::p] = _FALSE
-    for idx, _ in _large_hits(starts[split:], ps[split:], n,
-                              max(0, j - split)):
-        buf[idx] = False
+    for c in range(split, len(ps), _LARGE_CHUNK):
+        cp = ps[c:c + _LARGE_CHUNK]
+        m = max(j - c, 0)
+        for idx, _ in _large_hits(_first_hits(lo, cp, m), cp, n, m):
+            buf[idx] = False
     if out is not None and len(out) == n:
         out[:] = bits
         return out
     return bits
+
+
+def _first_hits(lo: int, ps: np.ndarray, j: int) -> np.ndarray:
+    """Index of each odd prime's first odd multiple >= max(p*p, lo + 1)
+    in the segment from even lo, as a fresh int64 array; the first j of
+    the ascending ps have p*p <= lo.  The odd multiples of p have odd
+    indices (p - 1)/2 (mod p), and bit i is odd index lo/2 + i."""
+    starts = (ps >> 1) - (lo >> 1)
+    np.remainder(starts, ps, out=starts)
+    tail = ps[j:]
+    np.maximum(starts[j:], (tail * tail - (lo + 1)) >> 1, out=starts[j:])
+    return starts
 
 
 def _large_hits(starts: np.ndarray, ps: np.ndarray, n: int,
@@ -355,8 +396,7 @@ def count_primes(a: int, b: int, cfg: Config | None = None) -> int:
 def odd_prime_flags(limit: int) -> np.ndarray:
     """Bool array f where f[i] marks 2i+1 prime, covering odds <= limit.
 
-    A byte per odd, limit/2 bytes in all, read by small_primes and two
-    census scans.  Slot 0 (the odd 1) is False and the rest is one
+    A byte per odd, limit/2 bytes in all, read by two census scans.  Slot 0 (the odd 1) is False and the rest is one
     fill_segment call over [2, limit], whose spare slot is the table's
     last; the array returned is fresh and writable.
     """

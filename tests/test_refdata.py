@@ -1,5 +1,8 @@
 from decimal import Decimal
 
+import mpmath
+import sympy
+
 from primelab import refdata
 from primelab.refdata import (
     BRUN_ESTIMATES,
@@ -9,6 +12,7 @@ from primelab.refdata import (
     GOLDBACH_SMALL_TABLE,
     L2_MINUS_PI2,
     PI2_BY_DECADE,
+    PI_BY_DECADE,
     RECORD_TWINS,
     RefValue,
     TWIN_BOUND_MULTIPLIERS,
@@ -93,6 +97,17 @@ def test_goldbach_small_table_is_consistent():
             assert a + b == n
             for part in (a, b):
                 assert part == 1 or is_prime_64(part)
+
+
+def test_pi_by_decade():
+    assert list(PI_BY_DECADE) == [10**k for k in range(1, 21)]
+    for x, ref in PI_BY_DECADE.items():
+        if x <= 10**10:  # sympy.primepi takes under a second this far
+            assert sympy.primepi(x) == ref.value, x
+        # pi(x) > x / ln x for x >= 17 (Rosser and Schoenfeld 1962), and
+        # pi(x) < li(x) far past 10**20
+        assert ref.value < mpmath.li(x), x
+        assert x < 17 or x / mpmath.log(x) < ref.value, x
 
 
 def test_record_twins_rows():

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from math import isqrt
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primelab.config import Config
+from primelab.refdata import PI_BY_DECADE
 from primelab.sieve import (
     _MR_PSI,
     BLOCK,
@@ -75,6 +77,57 @@ def test_small_primes_edges(monkeypatch):
         got = small_primes(b)
         assert got.dtype == np.int64 and not got.flags.writeable, b
         assert got.tolist() == naive_sieve(b), b
+
+
+def test_small_primes_block_edges(monkeypatch):
+    # small_primes builds [2, 2 BLOCK), then [2k BLOCK, 2(k + 1) BLOCK):
+    # bounds on and beside the first two edges, and one across seven
+    # blocks, each built cold and then served as a prefix view
+    import primelab.sieve as sieve
+    edges = [2 * k * BLOCK + d for k in (1, 2) for d in range(-2, 3)]
+    wide = 14 * BLOCK + 12345
+    want = np.array(naive_sieve(wide), dtype=np.int64)
+    for b in edges + [wide]:
+        monkeypatch.setattr(sieve, "_small_prime_cache", {})
+        got = small_primes(b)
+        assert got.dtype == np.int64 and not got.flags.writeable, b
+        assert np.array_equal(
+            got, want[:np.searchsorted(want, b, side="right")]), b
+    table = small_primes(wide)  # the cached table
+    for b in edges:
+        view = small_primes(b)
+        assert np.shares_memory(view, table), b
+        assert np.array_equal(view, table[:len(view)]), b
+        assert len(view) == np.searchsorted(want, b, side="right"), b
+
+
+def test_small_primes_count_published_pi(monkeypatch):
+    # pi(10**k) from the published table, which shares no code with the
+    # sieve
+    import primelab.sieve as sieve
+    for k in range(1, 9):
+        monkeypatch.setattr(sieve, "_small_prime_cache", {})
+        assert len(small_primes(10**k)) == PI_BY_DECADE[10**k].value, k
+
+
+def test_small_primes_memory(monkeypatch):
+    # A cold build to 1e7 holds its int64 table of 1.25506 x / ln x
+    # entries (Rosser and Schoenfeld's bound on pi(x)), the block buffer
+    # of BLOCK + 1 flags and one block's primes, the first block's being
+    # the most.  A byte per odd (5 MB) beside the table would not fit.
+    import primelab.sieve as sieve
+    sieve._wheel_pattern()
+    monkeypatch.setattr(sieve, "_small_prime_cache", {})
+    bound = 10**7
+    tracemalloc.start()
+    try:
+        got = small_primes(bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    first_block = int(np.searchsorted(got, 2 * BLOCK))
+    table = 8 * (int(1.25506 * bound / np.log(bound)) + 1)
+    assert peak < table + BLOCK + 1 + 8 * first_block + (1 << 18)
 
 
 def test_primes_array_vs_naive(primes_1e6):
@@ -226,6 +279,40 @@ def test_fill_segment_bit_identical_to_slice_loop(base_1e15, lo, n, reuse,
     rnd = random.Random(seed)
     for i in {0, n - 1, *(rnd.randrange(n) for _ in range(8))}:
         assert bool(got[i]) == sympy.isprime(lo + 1 + 2 * i), lo + 1 + 2 * i
+
+
+def test_fill_segment_memory_does_not_grow_with_the_base_table():
+    # Near 1e14 a segment reads 664,579 base primes, 5.1 MiB of int64.
+    # The large ones are taken 2**16 at a time, so with a prebuilt base
+    # and an out buffer a call holds a few arrays of one chunk, 0.5 MiB
+    # each.
+    lo = 10**14
+    n = FULL_SEGMENT_ODDS
+    base = small_primes(isqrt(lo + 2 * n))
+    assert 8 * len(base) > 5 * 2**20
+    out = np.empty(n + 1, dtype=bool)
+    want = fill_segment(lo, lo + 2 * n, base, out=out).copy()
+    tracemalloc.start()
+    try:
+        got = fill_segment(lo, lo + 2 * n, base, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_fill_segment_large_chunk_edges(chunk, monkeypatch):
+    # chunk edges land on both sides of the first prime with p*p > lo
+    import primelab.sieve as sieve
+    monkeypatch.setattr(sieve, "_LARGE_CHUNK", chunk)
+    base = np.array(naive_sieve(2000), dtype=np.int64)
+    # (under 64 hits each once a window is this narrow)
+    for lo, hi in ((2, 8000), (8000, 12_000), (20_000, 30_000),
+                   (360_000, 361_000), (10**6, 10**6 + 7777)):
+        assert np.array_equal(fill_segment(lo, hi, base),
+                              slice_loop_fill(lo, hi, base)), (lo, hi)
 
 
 def test_large_hits_match_a_loop():
