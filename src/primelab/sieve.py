@@ -396,9 +396,10 @@ def count_primes(a: int, b: int, cfg: Config | None = None) -> int:
 def odd_prime_flags(limit: int) -> np.ndarray:
     """Bool array f where f[i] marks 2i+1 prime, covering odds <= limit.
 
-    A byte per odd, limit/2 bytes in all, read by two census scans.  Slot 0 (the odd 1) is False and the rest is one
-    fill_segment call over [2, limit], whose spare slot is the table's
-    last; the array returned is fresh and writable.
+    A byte per odd, limit/2 bytes in all, read by two census scans.
+    Slot 0 (the odd 1) is False and the rest is one fill_segment call
+    over [2, limit], whose spare slot is the table's last; the array
+    returned is fresh and writable.
     """
     n = (limit + 1) // 2
     table = np.empty(n + 1, dtype=bool)
