@@ -81,7 +81,7 @@ def test_small_primes_edges(monkeypatch):
 
 def test_small_primes_block_edges(monkeypatch):
     # small_primes builds [2, 2 BLOCK), then [2k BLOCK, 2(k + 1) BLOCK):
-    # bounds on and beside the first two edges, and one across seven
+    # bounds on and beside the first two edges, and one across eight
     # blocks, each built cold and then served as a prefix view
     import primelab.sieve as sieve
     edges = [2 * k * BLOCK + d for k in (1, 2) for d in range(-2, 3)]
@@ -304,11 +304,12 @@ def test_fill_segment_memory_does_not_grow_with_the_base_table():
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 def test_fill_segment_large_chunk_edges(chunk, monkeypatch):
-    # chunk edges land on both sides of the first prime with p*p > lo
+    # chunk edges land on both sides of the first prime with p*p > lo;
+    # each window is narrow enough that primes from 64 on hit it fewer
+    # than 64 times, so it has a large tier
     import primelab.sieve as sieve
     monkeypatch.setattr(sieve, "_LARGE_CHUNK", chunk)
     base = np.array(naive_sieve(2000), dtype=np.int64)
-    # (under 64 hits each once a window is this narrow)
     for lo, hi in ((2, 8000), (8000, 12_000), (20_000, 30_000),
                    (360_000, 361_000), (10**6, 10**6 + 7777)):
         assert np.array_equal(fill_segment(lo, hi, base),
