@@ -10,6 +10,7 @@ addition, so results are identical for any segment size or thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -21,6 +22,7 @@ from .sieve import (
     INT64_BOUND,
     _large_hits,
     _odd_count,
+    _prime_arrays,
     instance_chunks,
     is_prime_64,
     iter_primes,
@@ -36,6 +38,7 @@ __all__ = [
     "admissible",
     "count_pattern",
     "count_pairs_2k",
+    "count_primes",
     "count_twin_almost_primes",
     "count_square_plus_one",
     "isolated_progression_witnesses",
@@ -183,6 +186,16 @@ def count_pattern(pattern, limit: int, checkpoints=None, *,
         # p = 2 is prime; every multi-offset pattern puts an even number at 2+o
         totals = totals + (np.asarray(marks) >= 2)
     return CountTable(pat.tag, tuple(zip(marks, map(int, totals))))
+
+
+def count_primes(a: int, b: int, cfg: Config | None = None) -> int:
+    """Number of primes in [a, b]: the census of the pattern (0,) over
+    [a, b], on the scan driver."""
+    if b < a or b < 2:
+        return 0
+    odd = scan(max(a - a % 2, 2), b + 1,
+               _PatternCensus(Pattern((0,)), b, (b,)), cfg)
+    return int(odd[0]) + (a <= 2)
 
 
 def count_pairs_2k(k: int, limit: int, checkpoints=None, *,
@@ -383,57 +396,45 @@ def isolated_progression_witnesses(limit: int) -> list[int]:
     """
     if limit < 26:
         raise ValueError("limit must be at least 26")
-    flags = odd_prime_flags(limit + 2)
-    # members of the progression alternate parity; odd ones start at 47
-    cands = np.arange(47, limit + 1, 42, dtype=np.int64)
-    witnesses = cands[flags[(cands - 1) >> 1]] if len(cands) else cands
-    for p in map(int, witnesses):
+    # members of the progression alternate parity; the odd ones are 5 mod 42
+    witnesses = [p for ps in _prime_arrays(limit, None)
+                 for p in ps[(ps % 42 == 5) & (ps > 7)].tolist()]
+    for p in witnesses:
         if is_prime_64(p - 2) or is_prime_64(p + 2):
             raise MathViolationError(f"{p} +/- 2 unexpectedly prime")
         if (p - 2) % 3 or (p + 2) % 7:
             raise MathViolationError(f"{p} fails the progression residue check")
-    return [int(p) for p in witnesses]
+    return witnesses
 
 
 def non_twin_prime_run(m: int, search_limit: int = 10**8) -> list[int]:
-    """First run of m consecutive primes, none a member of a twin pair.
+    """First run of m consecutive primes <= search_limit, none a member of
+    a twin pair.
 
     Prime 2 counts as isolated (the pair convention starts at 3), so
     m = 1 returns [2].
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    # successor lookahead decides right-side twin membership; a successor
-    # beyond search_limit + 2 cannot be at gap 2.  The primes are read in
-    # prefixes that double from 2**10, so an early run sieves no more than
-    # twice its reach; every prime but a prefix's last has its successor.
-    top = search_limit + 2
-    size = min(1 << 10, top)
-    while True:
-        run: list[int] = []
-        best = 0
-        prev = None
-        cur = None
-        for nxt in iter_primes(size):
-            if cur is not None:
-                twin = (prev is not None and cur - prev == 2) or nxt - cur == 2
-                if twin:
-                    run = []
-                else:
-                    run.append(cur)
-                    if len(run) == m:
-                        return run
-                    best = max(best, len(run))
-            prev, cur = cur, nxt
-        if size == top:
-            break
-        size = min(2 * size, top)
-    if cur is not None and cur <= search_limit:
-        if not (prev is not None and cur - prev == 2):
-            run.append(cur)
-            if len(run) == m:
-                return run
-        best = max(best, len(run))
+    # each prime is judged once its successor is read; a successor beyond
+    # search_limit + 2 cannot be at gap 2, so the last prime read is
+    # judged against a final None.  Small segments: the runs asked for
+    # end early (m = 3 at 89), and iter_primes sieves a segment at a time.
+    primes = iter_primes(search_limit + 2, Config(segment_bytes=1 << 12))
+    run: list[int] = []
+    best = 0
+    prev = cur = None
+    for nxt in chain(primes, [None]):
+        if cur is not None and cur <= search_limit:
+            if ((prev is not None and cur - prev == 2)
+                    or (nxt is not None and nxt - cur == 2)):
+                run = []
+            else:
+                run.append(cur)
+                if len(run) == m:
+                    return run
+                best = max(best, len(run))
+        prev, cur = cur, nxt
     err = ResourceLimitError(
         f"no run of {m} non-twin primes below {search_limit}")
     err.progress = {"search_limit": search_limit, "longest_run": best}

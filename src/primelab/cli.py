@@ -97,8 +97,7 @@ def _emit(args: argparse.Namespace, doc=None, table=None) -> None:
 
 def _cmd_sieve(args) -> int:
     if args.action == "count":
-        from .sieve import count_primes
-        total = count_primes(2, args.limit, _cfg(args))
+        total = census.count_primes(2, args.limit, _cfg(args))
         _emit(args, {"limit": args.limit, "count": total},
               ("limit,count", [(args.limit, total)]))
     elif args.action == "primes":

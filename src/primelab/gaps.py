@@ -32,9 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .census import count_primes
 from .config import Config
 from .scan import Kernel, scan
-from .sieve import _odd_count, count_primes, instance_chunks, is_prime_64
+from .sieve import _odd_count, instance_chunks, is_prime_64
 
 __all__ = [
     "GapRecord",

@@ -23,12 +23,14 @@ large primes by separate methods:
 The prime 2 never appears in a bit array; prime_values puts it first
 for a segment that starts at 2.
 
-fill_segment is the only code that crosses off multiples.  The base
-table small_primes is built one fill_segment call per block of BLOCK
-odds, the dense odd_prime_flags table is one fill_segment call over
-[2, bound], the bit-packed odd_prime_words table is one fill_segment
-call per segment, and the m*m + 1 census in census.py takes its large
-moduli from _large_hits, the large tier's routine.
+fill_segment is the only code that crosses off multiples, and it has
+three callers.  Walk.segments tiles every segmented walk: scan(), the
+lazy _prime_arrays, and the base table small_primes, a Walk of BLOCK-odd
+segments whose own base primes come from small_primes.  The dense
+odd_prime_flags table is one fill_segment call over [2, bound], and the
+bit-packed odd_prime_words table is one call per 64-odd-aligned segment.
+The m*m + 1 census in census.py takes its large moduli from
+_large_hits, the large tier's routine.
 
 Memory does not grow with the base table beyond the table itself:
 small_primes(B) holds its int64 primes and one block's flags and primes
@@ -151,14 +153,13 @@ def _pi_upper(x: int) -> int:
 def small_primes(bound: int) -> np.ndarray:
     """Primes <= bound, cached (read-only int64 array).
 
-    Built a block at a time: fill_segment marks the odds of [2, 2 BLOCK),
-    then of each [2k BLOCK, 2(k + 1) BLOCK), into one reused buffer of
-    BLOCK flags, with base primes up to isqrt(bound) from this function,
-    and each block's primes go straight into one int64 table sized by
-    _pi_upper(bound) after the 2 in its first slot.  The filled prefix is
-    returned; the tail past it is never written, so its pages never
-    become resident.  One table is kept; a smaller bound gets a prefix
-    view of it.
+    Built a block at a time: a Walk of BLOCK-odd segments over [2, bound]
+    marks each block's odds, with base primes up to isqrt(bound) from this
+    function, and each block's primes go straight into one int64 table
+    sized by _pi_upper(bound) after the 2 in its first slot.  The filled
+    prefix is returned; the tail past it is never written, so its pages
+    never become resident.  One table is kept; a smaller bound gets a
+    prefix view of it.
     """
     for b, arr in _small_prime_cache.items():
         if b >= bound:
@@ -169,12 +170,9 @@ def small_primes(bound: int) -> np.ndarray:
         table = np.empty(_pi_upper(bound), dtype=np.int64)
         table[0] = 2
         k = 1
-        base = small_primes(isqrt(bound))
-        buf = np.empty(min(BLOCK, (bound + 1) // 2) + 1, dtype=bool)
-        for b0 in range(0, bound + 1, 2 * BLOCK):
-            lo = max(b0, 2)
-            odds = np.flatnonzero(fill_segment(
-                lo, min(b0 + 2 * BLOCK, bound + 1), base, out=buf))
+        walk = Walk(bound + 1, Config(segment_bytes=BLOCK))
+        for lo, _, bits in walk.segments(2, bound + 1):
+            odds = np.flatnonzero(bits)
             vals = table[k:k + len(odds)]
             np.multiply(odds, 2, out=vals)
             vals += lo + 1
@@ -327,32 +325,35 @@ def _large_hits(starts: np.ndarray, ps: np.ndarray, n: int,
 
 
 class Walk:
-    """The serial segment walk under every segmented scan up to top.
+    """The serial segment walk under every segmented scan up to top:
+    scan(), _prime_arrays and small_primes tile their ranges with it.
 
     Segments are cfg's size (Config() when cfg is None).  The window
-    check and base table are built once, so segments on several threads
-    share them.  segments(lo, hi), lo even, yields (seg_lo, seg_hi, bits)
-    tiling [lo, hi); bits marks the odds of [seg_lo, seg_hi + reach) in
-    a buffer reused by the next step.  A walk holds its buffer until it
-    is finished or closed, then leaves it for the next one, so concurrent
-    walks (one per thread) hold one buffer each.  scan() walks one
-    segment per task, so a buffer's pages are touched, and so resident,
-    as far as the longest segment it served: a whole segment once the
-    range is that long.
+    check and base table, small_primes(isqrt(top + reach - 1)), are built
+    once, so segments on several threads share them.  segments(lo, hi),
+    lo even, yields (seg_lo, seg_hi, bits) tiling [lo, hi); bits marks
+    the odds of [seg_lo, seg_hi + reach) in a buffer reused by the next
+    step.  A walk holds its buffer until it is finished or closed, then
+    leaves it for the next one, so concurrent walks (one per thread) hold
+    one buffer each.  scan() walks one segment per task, so a buffer's
+    pages are touched, and so resident, as far as the longest segment it
+    served: a whole segment once the range is that long.
     """
 
     def __init__(self, top: int, cfg: Config | None = None, reach: int = 0):
         check_window(top + reach)
         self.span = 2 * (cfg or Config()).segment_odds
         self.reach = reach
-        self.base = small_primes(max(isqrt(top + reach - 1), 3))
+        # a buffer for the longest segment below top, with its lookahead
+        self._odds = min(self.span, top) // 2 + (reach >> 1) + 1
+        self.base = small_primes(isqrt(top + reach - 1))
         self._spare: list[np.ndarray] = []  # list.pop and append are atomic
 
     def segments(self, lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
         try:
             buf = self._spare.pop()
         except IndexError:
-            buf = np.empty(self.span // 2 + (self.reach >> 1) + 1, dtype=bool)
+            buf = np.empty(self._odds, dtype=bool)
         try:
             for seg_lo in range(lo, hi, self.span):
                 seg_hi = min(seg_lo + self.span, hi)
@@ -383,23 +384,13 @@ def primes_array(limit: int, cfg: Config | None = None) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
-def count_primes(a: int, b: int, cfg: Config | None = None) -> int:
-    """Number of primes in [a, b]."""
-    if b < a or b < 2:
-        return 0
-    walk = Walk(b + 1, cfg)
-    return (1 if a <= 2 else 0) + sum(
-        int(np.count_nonzero(bits))
-        for _, _, bits in walk.segments(max(a - a % 2, 2), b + 1))
-
-
 def odd_prime_flags(limit: int) -> np.ndarray:
     """Bool array f where f[i] marks 2i+1 prime, covering odds <= limit.
 
-    A byte per odd, limit/2 bytes in all, read by two census scans.
-    Slot 0 (the odd 1) is False and the rest is one fill_segment call
-    over [2, limit], whose spare slot is the table's last; the array
-    returned is fresh and writable.
+    A byte per odd, limit/2 bytes in all, read by the census of twin
+    almost-primes.  Slot 0 (the odd 1) is False and the rest is one
+    fill_segment call over [2, limit], whose spare slot is the table's
+    last; the array returned is fresh and writable.
     """
     n = (limit + 1) // 2
     table = np.empty(n + 1, dtype=bool)

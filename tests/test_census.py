@@ -4,6 +4,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from primelab.census import (
     twin_form_search,
 )
 from primelab.config import Config
+from primelab.errors import ResourceLimitError
 from primelab.sieve import factorize_64, is_prime_64
 
 from conftest import naive_is_prime, naive_sieve
@@ -190,7 +192,6 @@ _SQUARE_TOP = 10**7
 @pytest.fixture(scope="module")
 def square_oracle():
     """(m*m + 1, prime?, omega, Omega) for every m*m + 1 <= 1e7, by sympy."""
-    import sympy
     rows = []
     for m in range(1, isqrt(_SQUARE_TOP - 1) + 1):
         f = sympy.factorint(m * m + 1)
@@ -292,27 +293,52 @@ def test_perfect_half_sum():
     assert perfect_half_sum_scan(10**6) == [(5, 7)]
 
 
-def test_isolated_progression_witnesses(prime_set_padded):
-    out = isolated_progression_witnesses(10**4)
-    assert out and out[0] == 47
-    for p in out:
+@pytest.mark.parametrize("limit", [26, 46, 47, 88, 89, 10**4, 10**6])
+def test_isolated_progression_witnesses(limit):
+    want = [p for p in sympy.primerange(8, limit + 1) if p % 21 == 5]
+    assert isolated_progression_witnesses(limit) == want
+    for p in want:
         assert p % 42 == 5
-        assert (p - 2) % 3 == 0 and (p + 2) % 7 == 0
-        assert p in prime_set_padded
-        assert (p - 2) not in prime_set_padded
-        assert (p + 2) not in prime_set_padded
+        assert not sympy.isprime(p - 2) and not sympy.isprime(p + 2)
 
 
-def test_non_twin_prime_run_exhaustive(prime_set_padded):
-    assert tuple(non_twin_prime_run(3)) == (79, 83, 89)
-    # oracle: walk primes, confirm no earlier run of 3
-    ps = naive_sieve(10**4)
-    twinless = [p for p in ps
-                if (p - 2) not in prime_set_padded
-                and (p + 2) not in prime_set_padded]
-    runs = [ps[i:i + 3] for i in range(len(ps) - 2)]
-    first = next(r for r in runs if all(p in twinless for p in r))
-    assert tuple(first) == (79, 83, 89)
+def _oracle_runs(search_limit: int):
+    """(first run of non-twin primes per length, longest run) over the
+    primes <= search_limit, by a plain loop over sympy's primes."""
+    first, run = {}, []
+    for p in sympy.primerange(2, search_limit + 1):
+        if sympy.isprime(p - 2) or sympy.isprime(p + 2):
+            run = []
+        else:
+            run.append(p)
+            first.setdefault(len(run), list(run))
+    return first, max(first, default=0)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_non_twin_prime_run_vs_oracle(m):
+    first, _ = _oracle_runs(10**3)
+    assert non_twin_prime_run(m) == first[m]
+
+
+@pytest.mark.parametrize("m, search_limit, want", [
+    (3, 89, [79, 83, 89]),
+    (2, 53, [47, 53]),
+])
+def test_non_twin_prime_run_ends_at_the_limit(m, search_limit, want):
+    assert _oracle_runs(search_limit)[0][m] == want
+    assert non_twin_prime_run(m, search_limit) == want
+
+
+@pytest.mark.parametrize("m, search_limit",
+                         [(3, 88), (2, 52), (5, 300), (1, 1)])
+def test_non_twin_prime_run_limit_reached(m, search_limit):
+    with pytest.raises(ResourceLimitError) as exc:
+        non_twin_prime_run(m, search_limit)
+    longest = _oracle_runs(search_limit)[1]
+    assert longest < m
+    assert exc.value.progress == {"search_limit": search_limit,
+                                  "longest_run": longest}
 
 
 def test_twin_form_search_vs_direct():

@@ -275,6 +275,36 @@ def test_no_module_reads_the_environment():
             assert name not in banned, f"{path.name}:{node.lineno}"
 
 
+def _callers(name: str) -> set[str]:
+    """The functions of src/primelab that call anything named `name`, as
+    module.function or module.Class.method; a nested def counts as the
+    function around it."""
+    root = Path(__file__).resolve().parent.parent / "src" / "primelab"
+    found = set()
+    for path in root.glob("*.py"):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            scopes = ([(f"{top.name}.{getattr(item, 'name', '')}", item)
+                       for item in top.body]
+                      if isinstance(top, ast.ClassDef)
+                      else [(getattr(top, "name", ""), top)])
+            for scope, node in scopes:
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and name in (
+                            getattr(call.func, "attr", None),
+                            getattr(call.func, "id", None)):
+                        found.add(f"{path.stem}.{scope}")
+    return found
+
+
+def test_segment_walks_go_through_walk():
+    # one tiling of a range into sieved segments, and one crossing routine
+    assert _callers("segments") == {
+        "scan.scan", "sieve._prime_arrays", "sieve.small_primes"}
+    assert _callers("fill_segment") == {
+        "sieve.Walk.segments", "sieve.odd_prime_flags",
+        "sieve.odd_prime_words"}
+
+
 def test_threads_flag_reaches_the_scan(monkeypatch, capsys):
     import primelab.scan as scan_mod
     pools = []

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import primelab.sieve as sieve_mod
+from primelab.census import count_primes
 from primelab.config import DEFAULT_SEGMENT_BYTES, Config
 from primelab.gaps import (
     first_occurrence,
@@ -18,7 +19,6 @@ from primelab.gaps import (
     scan_gaps,
     short_interval_above_square,
 )
-from primelab.sieve import count_primes
 
 from conftest import naive_sieve, naive_window
 

@@ -13,6 +13,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primelab.census import count_primes
 from primelab.config import Config
 from primelab.refdata import PI_BY_DECADE
 from primelab.sieve import (
@@ -21,7 +22,6 @@ from primelab.sieve import (
     INT64_BOUND,
     _odd_count,
     check_window,
-    count_primes,
     factorize_64,
     fill_segment,
     is_prime_64,
@@ -146,9 +146,11 @@ def test_segment_counts_sum_to_pi(primes_1e6):
     assert count_primes(2, 10**6, cfg) == len(primes_1e6)
 
 
-@pytest.mark.parametrize("segment_bytes", [1 << 10, None])
-def test_count_primes_intervals_vs_naive(primes_1e6, segment_bytes, rng):
-    cfg = Config(segment_bytes=segment_bytes) if segment_bytes else None
+@pytest.mark.parametrize("cfg", [
+    Config(segment_bytes=1 << 10), None,
+    Config(segment_bytes=1 << 10, threads=2),  # segments on the pool
+], ids=["1024", "None", "1024-threads2"])
+def test_count_primes_intervals_vs_naive(primes_1e6, cfg, rng):
     edges = [(0, 1), (-5, 1), (2, 2), (-3, 2), (0, 3), (2, 3), (3, 3),
              (3, 2), (10, 9), (100, 50), (1, 10**5), (4, 2)]
     lows = [rng.randrange(-10, 3 * 10**5) for _ in range(20)]
