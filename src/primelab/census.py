@@ -19,6 +19,7 @@ from .config import DEFAULT_SEGMENT_BYTES, Config
 from .errors import CheckpointError, MathViolationError, ResourceLimitError
 from .scan import Kernel, normalize_marks, scan
 from .sieve import (
+    _LARGE_CHUNK,
     INT64_BOUND,
     _large_hits,
     _odd_count,
@@ -307,18 +308,29 @@ def _class_hits(first: np.ndarray, mods: np.ndarray, m0: int, n: int):
 
     A modulus below max(64, n // 64) comes alone, as (slice, p); the
     larger ones come together as (offsets, moduli) arrays, one pass per
-    hit, from sieve._large_hits, as in sieve.fill_segment's large tier.
+    hit, from sieve._large_hits, _LARGE_CHUNK classes at a time, as in
+    sieve.fill_segment's large tier.  So the temporaries are those of the
+    small moduli and of one chunk, however many roots of -1 there are.
     There are no cache blocks, and a class may start anywhere in the
     block, so _large_hits gets m = 0: no offset reaches n, where
     fill_segment keeps a spare slot.
     """
-    starts = np.remainder(first - m0, mods)
-    np.maximum(starts, first - m0, out=starts)
     split = int(np.searchsorted(mods, max(64, n // 64)))
-    for i, p in zip(starts[:split].tolist(), mods[:split].tolist()):
+    starts = _class_starts(first[:split], mods[:split], m0)
+    for i, p in zip(starts.tolist(), mods[:split].tolist()):
         if i < n:
             yield slice(i, n, p), p
-    yield from _large_hits(starts[split:], mods[split:], n, 0)
+    for c in range(split, len(mods), _LARGE_CHUNK):
+        cm = mods[c:c + _LARGE_CHUNK]
+        yield from _large_hits(_class_starts(first[c:c + _LARGE_CHUNK], cm,
+                                             m0), cm, n, 0)
+
+
+def _class_starts(first: np.ndarray, mods: np.ndarray,
+                  m0: int) -> np.ndarray:
+    """Offset from m0 of each class's first m >= max(m0, first[i])."""
+    rel = first - m0
+    return np.maximum(np.remainder(rel, mods), rel, out=rel)
 
 
 def count_square_plus_one(limit: int, mode: str = "prime",
@@ -341,7 +353,8 @@ def count_square_plus_one(limit: int, mode: str = "prime",
     limit < 2**63, so m*m + 1 fits in int64.  Memory: the primes up to
     top and their roots, plus one block of at most DEFAULT_SEGMENT_BYTES
     values of m at a time, a byte per m in prime mode and an int64
-    cofactor plus index arrays per m in the omega modes.
+    cofactor plus index arrays per m in the omega modes, and the class
+    starts of one chunk of large moduli (_class_hits).
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")

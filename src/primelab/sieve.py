@@ -23,14 +23,14 @@ large primes by separate methods:
 The prime 2 never appears in a bit array; prime_values puts it first
 for a segment that starts at 2.
 
-fill_segment is the only code that crosses off multiples, and it has
-three callers.  Walk.segments tiles every segmented walk: scan(), the
-lazy _prime_arrays, and the base table small_primes, a Walk of BLOCK-odd
-segments whose own base primes come from small_primes.  The dense
-odd_prime_flags table is one fill_segment call over [2, bound], and the
-bit-packed odd_prime_words table is one call per 64-odd-aligned segment.
-The m*m + 1 census in census.py takes its large moduli from
-_large_hits, the large tier's routine.
+fill_segment is the only code that crosses off multiples, and its one
+caller is Walk.segments, which tiles every segmented walk: scan(), the
+lazy _prime_arrays, the base table small_primes (a Walk of BLOCK-odd
+segments whose own base primes come from small_primes), and the
+bit-packed odd_prime_words table, a walk from 0 whose bit 0 is the odd
+1.  The dense odd_prime_flags table unpacks those words.  The m*m + 1
+census in census.py takes its large moduli from _large_hits, the large
+tier's routine.
 
 Memory does not grow with the base table beyond the table itself:
 small_primes(B) holds its int64 primes and one block's flags and primes
@@ -201,7 +201,8 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Mark primality of odds in [lo, hi) into a bool array.
 
-    base_primes must be ascending and contain every prime <=
+    lo must be even and >= 0; from lo = 0, bit 0 is the odd 1, which is
+    not prime.  base_primes must be ascending and contain every prime <=
     isqrt(hi - 1), and hi must pass check_window.  `out` may be a
     reusable buffer at least as long as the segment; the returned array
     is then a view into it, valid until the next fill.
@@ -218,8 +219,8 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
       together, _LARGE_CHUNK primes at a time, one vectorised pass per
       hit (_large_hits).
     """
-    if lo % 2 != 0 or lo < 2:
-        raise ValueError("segment lo must be even and >= 2")
+    if lo % 2 != 0 or lo < 0:
+        raise ValueError("segment lo must be even and >= 0")
     check_window(hi)
     n = _odd_count(lo, hi)
     if out is not None and len(out) < n:
@@ -250,6 +251,8 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
     for p in _WHEEL:
         if lo < p < hi:
             bits[(p - lo - 1) >> 1] = True
+    if lo == 0:
+        bits[0] = False  # the odd 1, which has no wheel factor
     ps = ps[np.searchsorted(ps, _WHEEL[-1], side="right"):]
     j = int(np.searchsorted(ps, isqrt(lo) + 1))  # primes with p*p > lo
     split = int(np.searchsorted(ps, max(64, n // 64)))
@@ -326,7 +329,8 @@ def _large_hits(starts: np.ndarray, ps: np.ndarray, n: int,
 
 class Walk:
     """The serial segment walk under every segmented scan up to top:
-    scan(), _prime_arrays and small_primes tile their ranges with it.
+    scan(), _prime_arrays, small_primes and odd_prime_words tile their
+    ranges with it.
 
     Segments are cfg's size (Config() when cfg is None).  The window
     check and base table, small_primes(isqrt(top + reach - 1)), are built
@@ -388,15 +392,12 @@ def odd_prime_flags(limit: int) -> np.ndarray:
     """Bool array f where f[i] marks 2i+1 prime, covering odds <= limit.
 
     A byte per odd, limit/2 bytes in all, read by the census of twin
-    almost-primes.  Slot 0 (the odd 1) is False and the rest is one
-    fill_segment call over [2, limit], whose spare slot is the table's
-    last; the array returned is fresh and writable.
+    almost-primes: odd_prime_words(limit) unpacked into a fresh,
+    writable array.
     """
+    words = odd_prime_words(limit).view(np.uint8)
     n = (limit + 1) // 2
-    table = np.empty(n + 1, dtype=bool)
-    table[0] = False
-    fill_segment(2, limit + 1, small_primes(isqrt(limit)), out=table[1:])
-    return table[:n]
+    return np.unpackbits(words, count=n, bitorder="little").view(bool)
 
 
 def odd_prime_words(limit: int) -> np.ndarray:
@@ -404,26 +405,18 @@ def odd_prime_words(limit: int) -> np.ndarray:
     little-endian 64-bit words: bit i & 63 of word i >> 6 marks 2i + 1
     prime.  Bit 0 (the odd 1) and the bits past the last odd are 0.
 
-    Built a default segment at a time: one fill_segment call marks the
-    next segment's odds into one reused bool buffer, and np.packbits
-    packs it into the words, so the table costs limit/16 bytes plus one
-    segment's buffer while it is built.
+    Built by a walk of default segments from 0, whose bit 0 is the odd 1:
+    np.packbits packs each segment's bits into the words, so the table
+    costs limit/16 bytes plus the walk's buffer while it is built.
     """
     n = (limit + 1) // 2
     words = np.zeros(-(-n // 64), dtype="<u8")
     out = words.view(np.uint8)
-    seg = Config().segment_odds  # a multiple of 8, so segments pack whole
-    base = small_primes(isqrt(limit))
-    buf = np.empty(min(seg, n) + 1, dtype=bool)  # + the spare slot
-    for k0 in range(0, n, seg):
-        k1 = min(k0 + seg, n)
-        if k0:
-            fill_segment(2 * k0, 2 * k1, base, out=buf)
-        else:
-            buf[0] = False  # the odd 1
-            fill_segment(2, 2 * k1, base, out=buf[1:])
-        packed = np.packbits(buf[:k1 - k0], bitorder="little")
-        out[k0 >> 3:(k0 >> 3) + packed.size] = packed
+    for lo, _, bits in Walk(limit + 1).segments(0, limit + 1):
+        # lo >> 4 is a whole byte: a default segment holds a multiple
+        # of 8 odds
+        packed = np.packbits(bits, bitorder="little")
+        out[lo >> 4:(lo >> 4) + packed.size] = packed
     return words
 
 

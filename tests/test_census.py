@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 from bisect import bisect_right
+from collections import Counter
 from math import isqrt
 
 import numpy as np
@@ -235,6 +237,51 @@ def test_square_plus_one_sieve_vs_sympy(square_oracle, limit, block, data):
                          for mark in marks)
             got = count_square_plus_one(limit, mode, marks).rows
             assert got == want, mode
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64, None])
+def test_class_hits_match_a_loop(chunk, monkeypatch):
+    # chunk edges of the large classes fall anywhere among the moduli
+    import primelab.census as census
+    if chunk is not None:
+        monkeypatch.setattr(census, "_LARGE_CHUNK", chunk)
+    rnd = np.random.default_rng(29)
+    for case in range(200):
+        n = int(rnd.integers(1, 6000))
+        m0 = int(rnd.integers(1, 10**6))
+        k = int(rnd.integers(1, 40))
+        mods = np.sort(rnd.integers(1, 2 * n + 200, size=k))
+        first = rnd.integers(0, m0 + 3 * n, size=k)
+        want = Counter((i, p) for f, p in zip(first.tolist(), mods.tolist())
+                       for i in range(n) if m0 + i >= f
+                       and (m0 + i - f) % p == 0)
+        got = Counter()
+        for hit, p in census._class_hits(first, mods, m0, n):
+            if isinstance(hit, slice):
+                got.update((i, p) for i in range(n)[hit])
+            else:
+                assert (hit < n).all(), case
+                got.update(zip(hit.tolist(), p.tolist()))
+        assert got == want, case
+
+
+def test_class_hits_memory_does_not_grow_with_the_roots():
+    # 283,005 classes below 4e6, 2.2 MB of int64 each for first and
+    # mods; the large ones are taken _LARGE_CHUNK at a time, so a block
+    # of 2**20 holds a few arrays of one chunk, 0.5 MiB each.  Starts
+    # over every class at once peaked at 5.9 MiB.
+    import primelab.census as census
+    mods, first = census._minus_one_roots(census.small_primes(4 * 10**6))
+    assert len(mods) > 280_000
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        for hit, _ in census._class_hits(first, mods, 1 + 3 * n, n):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_square_plus_one_published_and_parent_counts():

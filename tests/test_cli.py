@@ -299,10 +299,9 @@ def _callers(name: str) -> set[str]:
 def test_segment_walks_go_through_walk():
     # one tiling of a range into sieved segments, and one crossing routine
     assert _callers("segments") == {
-        "scan.scan", "sieve._prime_arrays", "sieve.small_primes"}
-    assert _callers("fill_segment") == {
-        "sieve.Walk.segments", "sieve.odd_prime_flags",
+        "scan.scan", "sieve._prime_arrays", "sieve.small_primes",
         "sieve.odd_prime_words"}
+    assert _callers("fill_segment") == {"sieve.Walk.segments"}
 
 
 def test_threads_flag_reaches_the_scan(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -175,6 +176,34 @@ def test_fill_segment_window_matches_naive(lo2, width):
         assert bool(flag) == naive_is_prime(n), n
     want = [2] * (lo == 2) + [n for n in odds if naive_is_prime(n)]
     assert prime_values(lo, bits).tolist() == want
+
+
+def test_fill_segment_from_zero_matches_naive():
+    # from lo = 0, bit 0 is the odd 1, which the wheel pattern leaves set
+    primes = set(naive_sieve(600))
+    base = np.array(naive_sieve(24), dtype=np.int64)
+    for hi in range(1, 601):
+        assert fill_segment(0, hi, base).tolist() == [
+            v in primes for v in range(1, hi, 2)], hi
+
+
+def test_fill_segment_from_zero_into_stale_buffer():
+    n = FULL_SEGMENT_ODDS
+    hi = 2 * n
+    base = np.array(naive_sieve(isqrt(hi - 1)), dtype=np.int64)
+    buf = np.random.default_rng(23).random(n + 1) < 0.5  # stale bits
+    buf[0] = True
+    got = fill_segment(0, hi, base, out=buf)
+    assert np.shares_memory(got, buf) and len(got) == n
+    want = np.zeros(n, dtype=bool)
+    want[(np.array(naive_sieve(hi), dtype=np.int64)[1:] - 1) >> 1] = True
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lo", [-2, -1, 7])
+def test_fill_segment_rejects_odd_or_negative_lo(lo):
+    with pytest.raises(ValueError, match="even and >= 0"):
+        fill_segment(lo, 200, small_primes(20))
 
 
 def slice_loop_fill(lo, hi, base_primes):
@@ -448,14 +477,18 @@ def test_odd_prime_words_layout(monkeypatch):
 
 @pytest.mark.parametrize("segment_bytes", [1 << 10, 3 << 10])
 def test_odd_prime_words_small_segments(segment_bytes, monkeypatch):
-    # many segments, each packed into the words at its own offset
+    # many segments, each packed into the words at its own offset and
+    # unpacked into the flags; Config() defaults to segment_bytes, an
+    # explicit keyword still wins, and the base table is built cold
     import primelab.sieve as sieve
     monkeypatch.setattr(sieve, "Config",
-                        lambda: Config(segment_bytes=segment_bytes))
+                        functools.partial(Config, segment_bytes=segment_bytes))
+    monkeypatch.setattr(sieve, "_small_prime_cache", {})
     primes = set(naive_sieve(10**5))
     for b in (10**5, 10**5 - 1, 2 * segment_bytes, 2 * segment_bytes + 1):
-        assert _unpack_words(odd_prime_words(b), b).tolist() == [
-            2 * i + 1 in primes for i in range((b + 1) // 2)], b
+        want = [2 * i + 1 in primes for i in range((b + 1) // 2)]
+        assert _unpack_words(odd_prime_words(b), b).tolist() == want, b
+        assert odd_prime_flags(b).tolist() == want, b
 
 
 def test_is_prime_64_exhaustive_small(prime_set_1e6):
