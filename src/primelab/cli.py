@@ -13,12 +13,14 @@ import json
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Callable
 
 from . import brun as brun_mod
 from . import census, constants, gaps, goldbach, reports
 from .config import DEFAULT_SEGMENT_BYTES, Config
 from .errors import CheckpointError, MathViolationError, ResourceLimitError
+from .sieve import iter_primes
 
 __all__ = ["main", "build_parser", "int_arg", "exit_status"]
 
@@ -71,25 +73,33 @@ def _emit(args: argparse.Namespace, doc=None, table=None) -> None:
     `doc` is written as JSON under --format json, and whenever there is no
     table; a str doc is written as is.  Otherwise `table` is written: a
     (header, rows) pair as CSV, with None as an empty cell, or plain text.
-    Namespaces without a format (the scripts') get the table.
+    Namespaces without a format (the scripts') get the table.  A table's
+    rows are written as they are iterated, so a lazy one is never held
+    whole; the first row is taken before the output is opened, so an
+    error raised there writes nothing.
     """
     if table is None or getattr(args, "format", "csv") == "json":
-        text = doc if isinstance(doc, str) else json.dumps(doc, indent=2,
-                                                           default=str)
+        chunks = [doc if isinstance(doc, str)
+                  else json.dumps(doc, indent=2, default=str)]
     elif isinstance(table, str):
-        text = table
+        chunks = [table]
     else:
         header, rows = table
-        text = "\n".join([header] + [
-            ",".join(["" if v is None else str(v) for v in row])
-            for row in rows])
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        chunks = chain([header], (
+            "\n" + ",".join(["" if v is None else str(v) for v in row])
+            for row in rows))
+    chunks = iter(chunks)
+    head = list(islice(chunks, 2))  # the header and the first row
+    fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        end = ""
+        for end in chain(head, chunks):
+            fh.write(end)
+        if not end.endswith("\n"):
+            fh.write("\n")
+    finally:
+        if args.out:
+            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +111,11 @@ def _cmd_sieve(args) -> int:
         _emit(args, {"limit": args.limit, "count": total},
               ("limit,count", [(args.limit, total)]))
     elif args.action == "primes":
-        from .sieve import primes_array
-        ps = [int(p) for p in primes_array(args.limit, _cfg(args))]
-        _emit(args, {"limit": args.limit, "primes": ps},
-              ("p", ((p,) for p in ps)))
+        ps = iter_primes(args.limit, _cfg(args))
+        if args.format == "json":
+            _emit(args, {"limit": args.limit, "primes": list(ps)})
+        else:  # streamed, a row at a time
+            _emit(args, table=("p", ((p,) for p in ps)))
     elif args.action == "factor":
         from .sieve import factorize_64
         f = factorize_64(args.n)

@@ -39,12 +39,13 @@ single code path.  Both, and the exhaustive check, unpack the table
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import MathViolationError
-from .sieve import is_prime_64, odd_prime_words, small_primes
+from .sieve import _rank, is_prime_64, odd_prime_words, small_primes
 
 __all__ = [
     "verify_goldbach",
@@ -74,6 +75,13 @@ _ONES = np.iinfo(np.uint64).max
 _CHUNK = 1 << 20
 # euler_variant_check takes this many n = 2 (mod 4) at a time
 _EULER_WINDOW = 1 << 17
+# the sparse steps and three_primes convert the prime table to Python ints
+# this many at a time, as they reach it
+_VALUES_CHUNK = 1 << 12
+# three_primes reads its candidates p from the prime table in windows
+# ending at these bounds; past the last, is_prime_64 tests each odd p, so
+# the table stays far inside its uint32 domain
+_THREE_WINDOWS = (10**5, 10**7, 10**9)
 
 # the table this process keeps, as (odds it covers, words); see _prime_words
 _table: tuple[int, np.ndarray] | None = None
@@ -189,17 +197,29 @@ def _dense_survivors(words: np.ndarray, qs: list[int], blo: int,
     return 64 * nz[bits >> 6] + (bits & 63), j
 
 
+def _values(table: np.ndarray) -> Iterator[int]:
+    """The values of table as Python ints, converted a chunk at a time."""
+    for a in range(0, len(table), _VALUES_CHUNK):
+        yield from table[a:a + _VALUES_CHUNK].tolist()
+
+
 def _scan_evens(lo: int, hi: int, *, first_only: bool) -> list[int]:
-    """Evens in [lo, hi] with no two-prime decomposition, ascending."""
+    """Evens in [lo, hi] with no two-prime decomposition, ascending.
+
+    The dense steps read the odd primes below _DENSE_Q, kept as a list;
+    the sparse steps go on to the larger ones, read from the table only
+    as far as a block's survivors last."""
     words = _prime_words(hi)
-    qs = small_primes(min(hi - 2, 10**6))[1:].tolist()  # the odd primes
+    table = small_primes(min(hi - 2, 10**6))
+    cut = _rank(table, _DENSE_Q)
+    dense = table[1:cut].tolist()  # the odd primes below _DENSE_Q
     violations: list[int] = []
     start = max(lo, 6)  # 4 = 2 + 2 is the one even needing the prime 2
     for blo in range(start, hi + 1, _BLOCK):
         m = (min(blo + _BLOCK - 2, hi) - blo) // 2 + 1
-        idx, j = _dense_survivors(words, qs, blo, m)
+        idx, j = _dense_survivors(words, dense, blo, m)
         vals = blo + 2 * idx
-        for q in qs[j:]:
+        for q in chain(dense[j:], _values(table[cut:])):
             if vals.size == 0:
                 break
             sub = vals - q
@@ -365,21 +385,27 @@ def euler_variant_witness(n: int) -> tuple[int, int]:
 
 
 def three_primes(n: int) -> tuple[int, int, int]:
-    """(3, p, q) with p + q = n - 3, all odd primes, smallest p first."""
+    """(3, p, q) with p + q = n - 3, all odd primes, smallest p first.
+
+    The candidates p come from the prime table, in the windows of
+    _THREE_WINDOWS, and past the last window from is_prime_64."""
     if n < 9 or n % 2 == 0:
         raise ValueError("n must be an odd integer >= 9")
     m = n - 3
-    cap = 10**5
-    while True:
-        for p in small_primes(min(m // 2, cap) + 1):
-            p = int(p)
-            if p == 2:
-                continue
-            if is_prime_64(m - p):
-                return 3, p, m - p
-        if cap >= m // 2:
-            raise MathViolationError(f"{m} has no two odd-prime sum")
-        cap *= 100
+    half = m // 2
+    p = 3  # every odd candidate below p has been tried
+    for cap in _THREE_WINDOWS:
+        if p > half:
+            break
+        table = small_primes(min(half, cap))
+        for q in _values(table[_rank(table, p):]):
+            if is_prime_64(m - q):
+                return 3, q, m - q
+        p = cap + 1
+    for q in range(p | 1, half + 1, 2):
+        if is_prime_64(q) and is_prime_64(m - q):
+            return 3, q, m - q
+    raise MathViolationError(f"{m} has no two odd-prime sum")
 
 
 def chen_comparison(x: int, sample_n: int | None = None) -> dict:

@@ -33,14 +33,18 @@ census in census.py takes its large moduli from _large_hits, the large
 tier's routine.
 
 Memory does not grow with the base table beyond the table itself:
-small_primes(B) holds its int64 primes and one block's flags and primes
-while it is built, and fill_segment works through the large primes
-_LARGE_CHUNK at a time, so its temporaries are one chunk's, however
-many base primes a segment reads.
+small_primes(B) holds its primes as uint32, four bytes each, and one
+block's flags and primes while it is built, and fill_segment works
+through the large primes _LARGE_CHUNK at a time, so its temporaries are
+one chunk's, however many base primes a segment reads.
 
 The kernel computes in int64.  Every value it forms stays below hi plus
 the largest base prime it uses, so a window [lo, hi) is accepted only
-while that sum is below 2**63 (see check_window).
+while that sum is below 2**63 (see check_window); its base primes are
+then below isqrt(2**63) < 3.04e9, inside the table's uint32 range.  The
+table is never widened whole: _first_hits widens one chunk of it to
+int64, because p*p wraps in uint32 once p > 65535, and every search of
+it takes a needle of its own dtype (_rank).
 """
 from __future__ import annotations
 
@@ -70,6 +74,10 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
 # fill_segment's int64 domain: hi plus the largest base prime a window
 # uses must stay below this.
 INT64_BOUND = 1 << 63
+
+# small_primes holds its table as uint32, so its bound must stay below
+# this.  The base primes of every window that check_window accepts do.
+TABLE_BOUND = 1 << 32
 
 _TRIAL_LIMIT = 10**4
 
@@ -132,6 +140,13 @@ def instance_chunks(bits: np.ndarray, m: int,
         yield i, flags
 
 
+def _rank(table: np.ndarray, x: int, side: str = "left") -> int:
+    """np.searchsorted(table, x, side) for an int 0 <= x that fits the
+    table's dtype.  The needle takes that dtype: a Python int needle
+    makes numpy convert a whole uint32 table to int64 first."""
+    return int(np.searchsorted(table, table.dtype.type(x), side=side))
+
+
 def prime_values(lo: int, bits: np.ndarray) -> np.ndarray:
     """Primes marked by bits, a segment from even lo, as an int64 array;
     2 leads when lo is 2, as no bit array holds it."""
@@ -151,30 +166,41 @@ def _pi_upper(x: int) -> int:
 
 
 def small_primes(bound: int) -> np.ndarray:
-    """Primes <= bound, cached (read-only int64 array).
+    """Primes <= bound, cached (read-only uint32 array); bound < 2**32.
+
+    A bound of TABLE_BOUND or more raises ValueError before anything is
+    allocated.  Readers of the values convert them to Python ints, or
+    widen a chunk-sized copy to int64 before arithmetic: in uint32, p*p
+    wraps once p > 65535, and a Python int operand that does not fit
+    raises OverflowError.  A search of the table takes a needle of its
+    dtype (_rank).
 
     Built a block at a time: a Walk of BLOCK-odd segments over [2, bound]
     marks each block's odds, with base primes up to isqrt(bound) from this
-    function, and each block's primes go straight into one int64 table
+    function, and each block's primes go straight into one uint32 table
     sized by _pi_upper(bound) after the 2 in its first slot.  The filled
     prefix is returned; the tail past it is never written, so its pages
     never become resident.  One table is kept; a smaller bound gets a
     prefix view of it.
     """
+    if bound >= TABLE_BOUND:
+        raise ValueError(
+            f"prime table bound {bound} is outside its uint32 domain: "
+            "it must stay below 2**32")
     for b, arr in _small_prime_cache.items():
         if b >= bound:
-            return arr[:np.searchsorted(arr, bound, side="right")]
+            return arr[:_rank(arr, max(bound, 0), side="right")]
     if bound < 2:
-        arr = np.empty(0, dtype=np.int64)
+        arr = np.empty(0, dtype=np.uint32)
     else:
-        table = np.empty(_pi_upper(bound), dtype=np.int64)
+        table = np.empty(_pi_upper(bound), dtype=np.uint32)
         table[0] = 2
         k = 1
         walk = Walk(bound + 1, Config(segment_bytes=BLOCK))
         for lo, _, bits in walk.segments(2, bound + 1):
             odds = np.flatnonzero(bits)
             vals = table[k:k + len(odds)]
-            np.multiply(odds, 2, out=vals)
+            np.multiply(odds, 2, out=vals, casting="unsafe")  # < bound
             vals += lo + 1
             k += len(odds)
             del odds  # freed before the next block's primes are found
@@ -235,8 +261,8 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
     if n == 0:
         return bits if out is None else out[:0]
     top = isqrt(hi - 1)
-    ps = base_primes[np.searchsorted(base_primes, 3):
-                     np.searchsorted(base_primes, top, side="right")]
+    ps = base_primes[_rank(base_primes, 3):
+                     _rank(base_primes, top, side="right")]
     last = int(base_primes[-1]) if len(base_primes) else 1
     # a table may end below top at the largest prime <= top; one that
     # does is short unless it holds every odd prime <= top
@@ -253,10 +279,10 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
             bits[(p - lo - 1) >> 1] = True
     if lo == 0:
         bits[0] = False  # the odd 1, which has no wheel factor
-    ps = ps[np.searchsorted(ps, _WHEEL[-1], side="right"):]
-    j = int(np.searchsorted(ps, isqrt(lo) + 1))  # primes with p*p > lo
-    split = int(np.searchsorted(ps, max(64, n // 64)))
-    blocked = int(np.searchsorted(ps[:split], BLOCK // 64))
+    ps = ps[_rank(ps, _WHEEL[-1], side="right"):]
+    j = _rank(ps, isqrt(lo) + 1)  # primes with p*p > lo
+    split = _rank(ps, max(64, n // 64))
+    blocked = _rank(ps[:split], BLOCK // 64)
     starts = _first_hits(lo, ps[:split], j)
     bs, bp = starts[:blocked], ps[:blocked]
     for b0 in range(0, n, BLOCK):
@@ -284,7 +310,11 @@ def _first_hits(lo: int, ps: np.ndarray, j: int) -> np.ndarray:
     """Index of each odd prime's first odd multiple >= max(p*p, lo + 1)
     in the segment from even lo, as a fresh int64 array; the first j of
     the ascending ps have p*p <= lo.  The odd multiples of p have odd
-    indices (p - 1)/2 (mod p), and bit i is odd index lo/2 + i."""
+    indices (p - 1)/2 (mod p), and bit i is odd index lo/2 + i.
+
+    ps may be a uint32 slice of the base table, one chunk long: it is
+    widened to int64 here, where p*p and the offsets are formed."""
+    ps = ps.astype(np.int64, copy=False)
     starts = (ps >> 1) - (lo >> 1)
     np.remainder(starts, ps, out=starts)
     tail = ps[j:]
@@ -304,14 +334,16 @@ def _large_hits(starts: np.ndarray, ps: np.ndarray, n: int,
     and sends a multiple past the end to index n, a spare slot the
     caller must hold.  The rest, whose first hit may lie anywhere, drop
     out as they leave, so with m = 0 no index reaches n.  The arrays are
-    updated in place after the caller has used them.
+    updated in place after the caller has used them.  starts is int64;
+    ps may be int64 or a uint32 chunk of the base table.
     """
     if m:
         bi, bp = starts[:m], ps[:m]
         np.minimum(bi, n, out=bi)
         passes = np.arange(1, n // int(bp[0]) + 1)
-        cuts = [m] + np.searchsorted(bp, (n - 1) // passes,
-                                     side="right").tolist() + [0]
+        # needles of bp's dtype, so a uint32 bp is not converted
+        tops = ((n - 1) // passes).astype(bp.dtype, copy=False)
+        cuts = [m] + np.searchsorted(bp, tops, side="right").tolist() + [0]
         for e, e_next in zip(cuts, cuts[1:]):
             yield bi[:e], bp[:e]
             sub = bi[:e_next]  # only the moduli the next pass reads
@@ -368,12 +400,15 @@ class Walk:
 
 
 def _prime_arrays(limit: int, cfg: Config | None) -> Iterator[np.ndarray]:
-    """The primes <= limit, one int64 array per segment."""
+    """The primes <= limit, one int64 array per _AND_CHUNK odds of a
+    segment, so a reader holds the walk's buffer and one chunk's primes,
+    however many primes there are."""
     if limit < 2:
         return
     walk = Walk(limit + 1, cfg)
     for lo, _, bits in walk.segments(2, limit + 1):
-        yield prime_values(lo, bits)
+        for i in range(0, len(bits), _AND_CHUNK):
+            yield prime_values(lo + 2 * i, bits[i:i + _AND_CHUNK])
 
 
 def iter_primes(limit: int, cfg: Config | None = None) -> Iterator[int]:
@@ -553,8 +588,7 @@ def factorize_64(n: int) -> Factorization:
         return Factorization(1, ())
     counts: dict[int, int] = {}
     m = n
-    for p in small_primes(_TRIAL_LIMIT):
-        p = int(p)
+    for p in small_primes(_TRIAL_LIMIT).tolist():
         if p * p > m:
             break
         while m % p == 0:

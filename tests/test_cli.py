@@ -94,6 +94,31 @@ def test_sieve_count(capsys):
     assert out.splitlines()[-1] == "1000000,78498"
 
 
+def test_sieve_primes_streams_its_rows(tmp_path):
+    # pi(1e7) = 664,579 primes would take 5.3 MB as one int64 array and
+    # more as a list; written as the walk makes them, they cost the
+    # walk's 64 KiB buffer and one chunk's primes, as at 1e6
+    import tracemalloc
+
+    from primelab.sieve import _wheel_pattern
+    _wheel_pattern()  # built once per process, 0.5 MB
+    out = tmp_path / "primes.csv"
+    peaks = []
+    for limit in ("1e6", "1e7"):
+        tracemalloc.start()
+        try:
+            assert main(["sieve", "primes", "--limit", limit,
+                         "--segment-bytes", "65536", "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * 2**20
+    assert peaks[1] < peaks[0] + 2**18
+    rows = out.read_text().split("\n")
+    assert rows[:4] == ["p", "2", "3", "5"]
+    assert rows[-2:] == ["9999991", ""] and len(rows) == 664_579 + 2
+
+
 def test_gaps_first(capsys):
     code, out = run(capsys, "gaps", "first", "--gap", "100",
                     "--limit", "1e6")

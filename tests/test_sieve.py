@@ -21,6 +21,7 @@ from primelab.sieve import (
     _MR_PSI,
     BLOCK,
     INT64_BOUND,
+    TABLE_BOUND,
     _odd_count,
     check_window,
     factorize_64,
@@ -53,7 +54,7 @@ def test_small_primes_same_with_larger_table_cached(monkeypatch):
     big = small_primes(10**5)
     for b in bounds:
         warm = small_primes(b)
-        assert warm.dtype == np.int64
+        assert warm.dtype == np.uint32
         assert warm.tolist() == cold[b], b
         if b >= 2:
             with pytest.raises(ValueError):
@@ -76,7 +77,7 @@ def test_small_primes_edges(monkeypatch):
     for b in EDGE_BOUNDS:
         monkeypatch.setattr(sieve, "_small_prime_cache", {})  # a cold build
         got = small_primes(b)
-        assert got.dtype == np.int64 and not got.flags.writeable, b
+        assert got.dtype == np.uint32 and not got.flags.writeable, b
         assert got.tolist() == naive_sieve(b), b
 
 
@@ -91,7 +92,7 @@ def test_small_primes_block_edges(monkeypatch):
     for b in edges + [wide]:
         monkeypatch.setattr(sieve, "_small_prime_cache", {})
         got = small_primes(b)
-        assert got.dtype == np.int64 and not got.flags.writeable, b
+        assert got.dtype == np.uint32 and not got.flags.writeable, b
         assert np.array_equal(
             got, want[:np.searchsorted(want, b, side="right")]), b
     table = small_primes(wide)  # the cached table
@@ -313,24 +314,80 @@ def test_fill_segment_bit_identical_to_slice_loop(base_1e15, lo, n, reuse,
 
 
 def test_fill_segment_memory_does_not_grow_with_the_base_table():
-    # Near 1e14 a segment reads 664,579 base primes, 5.1 MiB of int64.
-    # The large ones are taken 2**16 at a time, so with a prebuilt base
-    # and an out buffer a call holds a few arrays of one chunk, 0.5 MiB
-    # each.
-    lo = 10**14
+    # Near 1e14 a segment reads 664,579 base primes, near 1e16 5.76M,
+    # 23 MB in uint32; widened whole to int64 they would take 5.1 and
+    # 44 MiB.  The large ones are taken 2**16 at a time, so with a
+    # prebuilt base and an out buffer a call holds a few arrays of one
+    # chunk, 0.5 MiB each.
     n = FULL_SEGMENT_ODDS
-    base = small_primes(isqrt(lo + 2 * n))
-    assert 8 * len(base) > 5 * 2**20
     out = np.empty(n + 1, dtype=bool)
-    want = fill_segment(lo, lo + 2 * n, base, out=out).copy()
+    for lo in (10**14, 10**16):
+        base = small_primes(isqrt(lo + 2 * n))
+        assert 8 * len(base) > 5 * 2**20
+        want = fill_segment(lo, lo + 2 * n, base, out=out).copy()
+        tracemalloc.start()
+        try:
+            got = fill_segment(lo, lo + 2 * n, base, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want), lo
+        assert peak < 2 * 2**20, lo
+
+
+@pytest.mark.parametrize("height", [
+    10**18, 2**62, INT64_BOUND - 2 * isqrt(INT64_BOUND)],
+    ids=["1e18", "2^62", "top"])
+def test_fill_segment_uint32_base_past_65535(height):
+    # In uint32, p*p wraps once p > 65535, and 2**31 .. 3.04e9 lie past
+    # int32.  The window is a full segment around q*q, q the largest
+    # prime <= isqrt(height) (999999937, 2**31 - 1 and 3037000493), so q
+    # crosses off from its square.  The base holds the primes to 1e5, the
+    # prime factors in (1e5, top] of the odds beside q*q, and one prime
+    # past top that ends the table: fill_segment sieves by those alone,
+    # as slice_loop_fill does with them in int64.
+    n = FULL_SEGMENT_ODDS
+    q = sympy.prevprime(isqrt(height) + 1)
+    lo = q * q - 1 - n
+    hi = lo + 2 * n
+    top = isqrt(hi - 1)
+    large = sorted({f for x in range(q * q - 64, q * q + 64, 2)
+                    for f in sympy.factorint(x) if 10**5 < f <= top})
+    assert large[-1] == q
+    base = np.concatenate((small_primes(10**5), large,
+                           [sympy.nextprime(top)])).astype(np.uint32)
+    wide = base.astype(np.int64)
+    got = fill_segment(lo, hi, base).copy()
+    assert np.array_equal(got, slice_loop_fill(lo, hi, wide))
+    assert np.array_equal(got, fill_segment(lo, hi, wide))
+    assert not got[(q * q - lo - 1) >> 1]
+
+
+def test_small_primes_refuses_bounds_past_uint32(monkeypatch):
+    # every window check_window accepts has base primes below 2**32; a
+    # larger bound is refused before a table is allocated
+    import primelab.sieve as sieve
+    assert isqrt(INT64_BOUND - 1) < TABLE_BOUND
+    monkeypatch.setattr(sieve, "_small_prime_cache", {})
     tracemalloc.start()
     try:
-        got = fill_segment(lo, lo + 2 * n, base, out=out)
+        for bound in (TABLE_BOUND, TABLE_BOUND + 1, 10**12):
+            with pytest.raises(ValueError, match="2\\*\\*32"):
+                small_primes(bound)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(got, want)
-    assert peak < 2 * 2**20
+    assert peak < 1 << 16
+    assert sieve._small_prime_cache == {}
+
+
+def test_prime_outputs_stay_int64():
+    # the table is uint32, but the primes handed out are int64
+    assert primes_array(100).dtype == np.int64
+    assert primes_array(1).dtype == np.int64
+    bits = fill_segment(2, 100, small_primes(10))
+    assert prime_values(2, bits).dtype == np.int64
+    assert all(type(p) is int for p in iter_primes(100))
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
