@@ -42,9 +42,10 @@ The kernel computes in int64.  Every value it forms stays below hi plus
 the largest base prime it uses, so a window [lo, hi) is accepted only
 while that sum is below 2**63 (see check_window); its base primes are
 then below isqrt(2**63) < 3.04e9, inside the table's uint32 range.  The
-table is never widened whole: _first_hits widens one chunk of it to
-int64, because p*p wraps in uint32 once p > 65535, and every search of
-it takes a needle of its own dtype (_rank).
+table is never widened whole: fill_segment widens the primes of one
+tier or one chunk to int64 as it reads them, because p*p wraps in uint32
+once p > 65535, and every search of it takes a needle of its own dtype
+(_rank).
 """
 from __future__ import annotations
 
@@ -283,8 +284,13 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
     j = _rank(ps, isqrt(lo) + 1)  # primes with p*p > lo
     split = _rank(ps, max(64, n // 64))
     blocked = _rank(ps[:split], BLOCK // 64)
-    starts = _first_hits(lo, ps[:split], j)
-    bs, bp = starts[:blocked], ps[:blocked]
+    # the table's uint32 is widened to int64 as it is read, the small and
+    # medium primes at once and the large ones a chunk at a time
+    # (_cross_large): p*p wraps in uint32, and mixed uint32 and int64
+    # operands would send every pass through numpy's slower casting loops
+    small = ps[:split].astype(np.int64)
+    starts = _first_hits(lo, small, j)
+    bs, bp = starts[:blocked], small[:blocked]
     for b0 in range(0, n, BLOCK):
         b1 = min(b0 + BLOCK, n)
         for i, p in zip(bs.tolist(), bp.tolist()):
@@ -292,29 +298,34 @@ def fill_segment(lo: int, hi: int, base_primes: np.ndarray,
                 bits[i:b1:p] = _FALSE
         # each prime's first multiple at or past b1
         bs = np.maximum(bs, b1 + np.remainder(bs - b1, bp))
-    for i, p in zip(starts[blocked:].tolist(), ps[blocked:split].tolist()):
+    for i, p in zip(starts[blocked:].tolist(), small[blocked:].tolist()):
         if i < n:
             bits[i::p] = _FALSE
     for c in range(split, len(ps), _LARGE_CHUNK):
-        cp = ps[c:c + _LARGE_CHUNK]
-        m = max(j - c, 0)
-        for idx, _ in _large_hits(_first_hits(lo, cp, m), cp, n, m):
-            buf[idx] = False
+        _cross_large(buf, lo, ps[c:c + _LARGE_CHUNK], n, max(j - c, 0))
     if out is not None and len(out) == n:
         out[:] = bits
         return out
     return bits
 
 
+def _cross_large(buf: np.ndarray, lo: int, ps: np.ndarray, n: int,
+                 m: int) -> None:
+    """Cross off in buf, n odds from even lo and a spare slot, the hits
+    of one chunk of large primes ps, the first m with p*p <= lo.  The
+    chunk is widened to int64 here, and its arrays are freed on return,
+    before the next chunk's are made."""
+    wide = ps.astype(np.int64)
+    for idx, _ in _large_hits(_first_hits(lo, wide, m), wide, n, m):
+        buf[idx] = False
+
+
 def _first_hits(lo: int, ps: np.ndarray, j: int) -> np.ndarray:
     """Index of each odd prime's first odd multiple >= max(p*p, lo + 1)
     in the segment from even lo, as a fresh int64 array; the first j of
     the ascending ps have p*p <= lo.  The odd multiples of p have odd
-    indices (p - 1)/2 (mod p), and bit i is odd index lo/2 + i.
-
-    ps may be a uint32 slice of the base table, one chunk long: it is
-    widened to int64 here, where p*p and the offsets are formed."""
-    ps = ps.astype(np.int64, copy=False)
+    indices (p - 1)/2 (mod p), and bit i is odd index lo/2 + i.  ps is
+    int64, as p*p wraps in uint32."""
     starts = (ps >> 1) - (lo >> 1)
     np.remainder(starts, ps, out=starts)
     tail = ps[j:]
@@ -334,16 +345,14 @@ def _large_hits(starts: np.ndarray, ps: np.ndarray, n: int,
     and sends a multiple past the end to index n, a spare slot the
     caller must hold.  The rest, whose first hit may lie anywhere, drop
     out as they leave, so with m = 0 no index reaches n.  The arrays are
-    updated in place after the caller has used them.  starts is int64;
-    ps may be int64 or a uint32 chunk of the base table.
+    updated in place after the caller has used them.  Both are int64.
     """
     if m:
         bi, bp = starts[:m], ps[:m]
         np.minimum(bi, n, out=bi)
         passes = np.arange(1, n // int(bp[0]) + 1)
-        # needles of bp's dtype, so a uint32 bp is not converted
-        tops = ((n - 1) // passes).astype(bp.dtype, copy=False)
-        cuts = [m] + np.searchsorted(bp, tops, side="right").tolist() + [0]
+        cuts = [m] + np.searchsorted(bp, (n - 1) // passes,
+                                     side="right").tolist() + [0]
         for e, e_next in zip(cuts, cuts[1:]):
             yield bi[:e], bp[:e]
             sub = bi[:e_next]  # only the moduli the next pass reads

@@ -146,9 +146,9 @@ def test_three_primes_exhaustive_small():
 
 
 def test_three_primes_past_the_table(monkeypatch):
-    # one table window, to 1e5, and is_prime_64 calling every m - p with p
-    # from the table composite: the search goes on past the table, testing
-    # each odd p with is_prime_64, and asks for no larger table
+    # one table window, to 1e5, and every m - p with p in it reported
+    # composite: the search goes on past the table, testing each odd p
+    # with is_prime_64, and asks for no larger table
     m = 2 * 10**6
     real = g.is_prime_64
     monkeypatch.setattr(g, "_THREE_WINDOWS", (10**5,))
