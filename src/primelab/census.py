@@ -295,8 +295,7 @@ def _minus_one_roots(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         root[todo[hit]] = x[hit]
         todo = todo[~hit]
         c += 1
-    # [2], or empty when there are no primes; widened from the table's uint32
-    two = primes[:1].astype(np.int64)
+    two = primes[:1]  # [2], or empty when there are no primes
     mods = np.concatenate((two, np.repeat(ps, 2).astype(np.int64)))
     res = np.concatenate((two - 1, np.column_stack((root, ps - root))
                           .ravel().astype(np.int64)))

@@ -8,18 +8,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # 4 MiB segments, kept after a sweep of the segment walk's cost on one
-# core, in ns per integer (median of 9 interleaved runs; 2-core x86-64 VM
-# with 2 MiB of L2 cache per core, Python 3.11, numpy 2.4):
+# core: a bare Walk with its base table built beforehand, in ns per
+# integer, the median of 5 fresh processes per cell run in interleaved
+# rounds (2-core x86-64 VM with 2 MiB of L2 cache per core, Python 3.11,
+# numpy 2.4, uint32 base table):
 #
 #   segment   2 .. 1e8   1e12 + 2**26   1e14 + 2**25
-#   1 MiB       1.52         3.34           8.37
-#   2 MiB       1.44         3.59           6.57
-#   4 MiB       1.48         4.34           6.32
-#   8 MiB       1.44         6.01           8.48
+#   1 MiB       0.84         2.03           4.16
+#   2 MiB       0.89         2.08           3.44
+#   4 MiB       0.87         2.27           3.19
+#   8 MiB       0.89         2.82           3.13
 #
-# No size wins at every height.  4 MiB is fastest at 1e14, where the long
-# gap hunts run; it is within 3% of the best at 1e8 and 30% behind 1 MiB
-# at 1e12.
+# No size wins at every height.  4 MiB is within 2% of the best at 1e14,
+# where the long gap hunts run, and within 4% of it at 1e8; it is 12%
+# behind 1 MiB at 1e12.  Single cells spread by up to 40% on this host,
+# so differences under about 10% are not resolved.
 DEFAULT_SEGMENT_BYTES = 1 << 22
 
 

@@ -357,7 +357,7 @@ def test_fill_segment_uint32_base_past_65535(height):
     base = np.concatenate((small_primes(10**5), large,
                            [sympy.nextprime(top)])).astype(np.uint32)
     wide = base.astype(np.int64)
-    got = fill_segment(lo, hi, base).copy()
+    got = fill_segment(lo, hi, base)
     assert np.array_equal(got, slice_loop_fill(lo, hi, wide))
     assert np.array_equal(got, fill_segment(lo, hi, wide))
     assert not got[(q * q - lo - 1) >> 1]
