@@ -75,13 +75,13 @@ _ONES = np.iinfo(np.uint64).max
 _CHUNK = 1 << 20
 # euler_variant_check takes this many n = 2 (mod 4) at a time
 _EULER_WINDOW = 1 << 17
-# the sparse steps and three_primes convert the prime table to Python ints
-# this many at a time, as they reach it
+# the sparse steps convert the prime table to Python ints this many at a
+# time, as they reach it
 _VALUES_CHUNK = 1 << 12
-# three_primes reads its candidates p from the prime table in windows
-# ending at these bounds; past the last, is_prime_64 tests each odd p, so
-# the table stays far inside its uint32 domain
-_THREE_WINDOWS = (10**5, 10**7, 10**9)
+# three_primes first reads its candidates p from the primes to this bound,
+# then to 100 times as far, and so on; a bound past the prime table's
+# uint32 domain makes small_primes raise ValueError
+_THREE_CAP = 10**5
 
 # the table this process keeps, as (odds it covers, words); see _prime_words
 _table: tuple[int, np.ndarray] | None = None
@@ -385,27 +385,21 @@ def euler_variant_witness(n: int) -> tuple[int, int]:
 
 
 def three_primes(n: int) -> tuple[int, int, int]:
-    """(3, p, q) with p + q = n - 3, all odd primes, smallest p first.
-
-    The candidates p come from the prime table, in the windows of
-    _THREE_WINDOWS, and past the last window from is_prime_64."""
+    """(3, p, q) with p + q = n - 3, all odd primes, smallest p first."""
     if n < 9 or n % 2 == 0:
         raise ValueError("n must be an odd integer >= 9")
     m = n - 3
-    half = m // 2
-    p = 3  # every odd candidate below p has been tried
-    for cap in _THREE_WINDOWS:
-        if p > half:
-            break
-        table = small_primes(min(half, cap))
-        for q in _values(table[_rank(table, p):]):
-            if is_prime_64(m - q):
-                return 3, q, m - q
-        p = cap + 1
-    for q in range(p | 1, half + 1, 2):
-        if is_prime_64(q) and is_prime_64(m - q):
-            return 3, q, m - q
-    raise MathViolationError(f"{m} has no two odd-prime sum")
+    cap = _THREE_CAP
+    while True:
+        for p in small_primes(min(m // 2, cap) + 1):
+            p = int(p)
+            if p == 2:
+                continue
+            if is_prime_64(m - p):
+                return 3, p, m - p
+        if cap >= m // 2:
+            raise MathViolationError(f"{m} has no two odd-prime sum")
+        cap *= 100
 
 
 def chen_comparison(x: int, sample_n: int | None = None) -> dict:

@@ -416,7 +416,9 @@ def _prime_arrays(limit: int, cfg: Config | None) -> Iterator[np.ndarray]:
         return
     walk = Walk(limit + 1, cfg)
     for lo, _, bits in walk.segments(2, limit + 1):
-        for i in range(0, len(bits), _AND_CHUNK):
+        # at limit 2 the one segment holds no odds, but its first chunk
+        # still carries the 2
+        for i in range(0, max(len(bits), 1), _AND_CHUNK):
             yield prime_values(lo + 2 * i, bits[i:i + _AND_CHUNK])
 
 

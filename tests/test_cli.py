@@ -94,6 +94,18 @@ def test_sieve_count(capsys):
     assert out.splitlines()[-1] == "1000000,78498"
 
 
+def test_sieve_primes_small_limits(capsys):
+    # limit 2 walks one segment holding no odds, and still prints the 2
+    for limit, want in (("1", []), ("2", [2]), ("3", [2, 3])):
+        code, out = run(capsys, "sieve", "primes", "--limit", limit)
+        assert code == 0
+        assert out == "".join(f"{p}\n" for p in ["p", *want]), limit
+        code, out = run(capsys, "sieve", "primes", "--limit", limit,
+                        "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"limit": int(limit), "primes": want}
+
+
 def test_sieve_primes_streams_its_rows(tmp_path):
     # pi(1e7) = 664,579 primes would take 5.3 MB as one int64 array and
     # more as a list; written as the walk makes them, they cost the

@@ -145,31 +145,10 @@ def test_three_primes_exhaustive_small():
             assert part > 2 and naive_is_prime(part)
 
 
-def test_three_primes_past_the_table(monkeypatch):
-    # one table window, to 1e5, and every m - p with p in it reported
-    # composite: the search goes on past the table, testing each odd p
-    # with is_prime_64, and asks for no larger table
-    m = 2 * 10**6
-    real = g.is_prime_64
-    monkeypatch.setattr(g, "_THREE_WINDOWS", (10**5,))
-    monkeypatch.setattr(g, "is_prime_64", lambda v: v < m - 10**5 and real(v))
-    asked = []
-
-    def table(bound):
-        asked.append(bound)
-        return small_primes(bound)
-
-    monkeypatch.setattr(g, "small_primes", table)
-    want = next(p for p in range(10**5 + 1, m // 2, 2)
-                if naive_is_prime(p) and naive_is_prime(m - p))
-    assert three_primes(m + 3) == (3, want, m - want)
-    assert asked == [10**5]
-
-
 def test_three_primes_table_past_uint32_exits_2(monkeypatch, capsys):
-    # a window reaching 2**32 asks the table for more than uint32 holds,
+    # a cap reaching 2**32 asks the table for more than uint32 holds,
     # which is refused as a usage error, not an internal one
-    monkeypatch.setattr(g, "_THREE_WINDOWS", (2**32,))
+    monkeypatch.setattr(g, "_THREE_CAP", 2**32)
     assert main(["goldbach", "three", "--n", str(2**34 + 1)]) == 2
     assert "2**32" in capsys.readouterr().err
 

@@ -390,6 +390,14 @@ def test_prime_outputs_stay_int64():
     assert all(type(p) is int for p in iter_primes(100))
 
 
+def test_prime_outputs_edges():
+    # limit 2 walks one segment holding no odds: the 2 must still come out
+    for b in EDGE_BOUNDS:
+        want = naive_sieve(b)
+        assert primes_array(b).tolist() == want, b
+        assert list(iter_primes(b)) == want, b
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 def test_fill_segment_large_chunk_edges(chunk, monkeypatch):
     # chunk edges land on both sides of the first prime with p*p > lo;
