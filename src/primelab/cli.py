@@ -74,13 +74,14 @@ def _emit(args: argparse.Namespace, doc=None, table=None) -> None:
     table; a str doc is written as is.  Otherwise `table` is written: a
     (header, rows) pair as CSV, with None as an empty cell, or plain text.
     Namespaces without a format (the scripts') get the table.  A table's
-    rows are written as they are iterated, so a lazy one is never held
-    whole; the first row is taken before the output is opened, so an
-    error raised there writes nothing.
+    rows and a doc's JSON are written as they are made, so neither a lazy
+    table nor the whole JSON text is ever held; the first two chunks are
+    taken before the output is opened, so an error raised there writes
+    nothing.
     """
     if table is None or getattr(args, "format", "csv") == "json":
-        chunks = [doc if isinstance(doc, str)
-                  else json.dumps(doc, indent=2, default=str)]
+        chunks = [doc] if isinstance(doc, str) else json.JSONEncoder(
+            indent=2, default=str).iterencode(doc)
     elif isinstance(table, str):
         chunks = [table]
     else:
@@ -89,7 +90,7 @@ def _emit(args: argparse.Namespace, doc=None, table=None) -> None:
             "\n" + ",".join(["" if v is None else str(v) for v in row])
             for row in rows))
     chunks = iter(chunks)
-    head = list(islice(chunks, 2))  # the header and the first row
+    head = list(islice(chunks, 2))  # a table's header and first row
     fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         end = ""

@@ -23,18 +23,20 @@ each later q gathers only their bits.  Anything that survives the small
 primes gets an exhaustive check, every odd p <= n/2 against n - p,
 before it may be called a violation.
 
-Memory: a full block holds four arrays of 256 KiB (the inverted window,
-the survivor words and two shift buffers), made for that block and
-dropped after it.  The table is the only array the process keeps: it
-holds (limit + 1) / 16 bytes for the largest limit asked for so far, is
-read-only, and is rebuilt only when a larger limit is asked for.  It is
-built a segment at a time (sieve.odd_prime_words), which costs one
-segment's bool buffer on top while it lasts.
+Memory: the table plus about one block, at every limit.  The table is
+the only array the process keeps: it holds (limit + 1) / 16 bytes for
+the largest limit asked for so far, is read-only, and is rebuilt only
+when a larger limit is asked for.  It is built a sieve block at a time
+(sieve.odd_prime_words), which costs 1 MiB of flags and 128 KiB packed
+on top while it lasts.  A full block of evens holds four arrays of
+256 KiB (the inverted window, the survivor words and two shift buffers),
+made for that block and dropped after it; these are the largest
+transients.
 
 Representation counts are computed two independent ways (per-prime
 lookup and a complement scan) so the printed numbers never rest on a
 single code path.  Both, and the exhaustive check, unpack the table
-2**20 bits at a time, so their temporaries do not grow with n.
+2**18 bits at a time, so their temporaries do not grow with n.
 """
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ _SPARSE = 64
 _WORD = np.dtype("<u8")
 _ONES = np.iinfo(np.uint64).max
 # the counters and the exhaustive check unpack this many bits at a time
-_CHUNK = 1 << 20
+_CHUNK = 1 << 18
 # euler_variant_check takes this many n = 2 (mod 4) at a time
 _EULER_WINDOW = 1 << 17
 # the sparse steps convert the prime table to Python ints this many at a

@@ -451,16 +451,17 @@ def odd_prime_words(limit: int) -> np.ndarray:
     little-endian 64-bit words: bit i & 63 of word i >> 6 marks 2i + 1
     prime.  Bit 0 (the odd 1) and the bits past the last odd are 0.
 
-    Built by a walk of default segments from 0, whose bit 0 is the odd 1:
-    np.packbits packs each segment's bits into the words, so the table
-    costs limit/16 bytes plus the walk's buffer while it is built.
+    Built by a walk of BLOCK-odd segments from 0, whose bit 0 is the odd
+    1: np.packbits packs each block's bits into the words, so the table
+    costs limit/16 bytes plus one block's flags (1 MiB) and that block
+    packed (128 KiB) while it is built, at every limit.
     """
     n = (limit + 1) // 2
     words = np.zeros(-(-n // 64), dtype="<u8")
     out = words.view(np.uint8)
-    for lo, _, bits in Walk(limit + 1).segments(0, limit + 1):
-        # lo >> 4 is a whole byte: a default segment holds a multiple
-        # of 8 odds
+    walk = Walk(limit + 1, Config(segment_bytes=BLOCK))
+    for lo, _, bits in walk.segments(0, limit + 1):
+        # lo >> 4 is a whole byte: a block holds a multiple of 8 odds
         packed = np.packbits(bits, bitorder="little")
         out[lo >> 4:(lo >> 4) + packed.size] = packed
     return words

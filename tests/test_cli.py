@@ -131,6 +131,29 @@ def test_sieve_primes_streams_its_rows(tmp_path):
     assert rows[-2:] == ["9999991", ""] and len(rows) == 664_579 + 2
 
 
+def test_emit_streams_json_as_dumps_would(monkeypatch, tmp_path):
+    # the JSON is written chunk by chunk as the encoder makes it, never
+    # as one string, and the bytes are json.dumps's with a newline
+    from fractions import Fraction
+
+    from primelab.cli import _emit
+
+    doc = {"limit": 10**20, "rows": [[1, [2, 3], []], {"r": Fraction(1, 3)}],
+           "sum": Fraction(-7, 2**128), "none": None, "name": "π2"}
+    want = json.dumps(doc, indent=2, default=str) + "\n"
+    writes = []
+    monkeypatch.setattr(sys, "stdout", argparse.Namespace(write=writes.append))
+    _emit(argparse.Namespace(format="json", out=None), doc)
+    assert "".join(writes) == want
+    assert len(writes) > 2 and max(map(len, writes)) < len(want) // 4
+    out = tmp_path / "doc.json"
+    _emit(argparse.Namespace(format="json", out=str(out)), doc)
+    assert out.read_bytes() == want.encode("utf-8")
+    writes.clear()
+    _emit(argparse.Namespace(format="json", out=None), "as is")
+    assert writes == ["as is", "\n"]
+
+
 def test_gaps_first(capsys):
     code, out = run(capsys, "gaps", "first", "--gap", "100",
                     "--limit", "1e6")

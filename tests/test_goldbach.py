@@ -319,30 +319,32 @@ def test_shared_table_cold_equals_warm(monkeypatch, prime_set_2e4):
 
 
 def test_cold_report_and_verify_peak_below_a_byte_table(monkeypatch):
-    # A byte per odd would hold (2e7 + 1) // 2 bytes, 10 MB, for the
-    # table alone.  The packed table holds 1/8 of that, 1.25 MB; its
-    # build adds one segment's bool buffer (segment_odds + 1 bytes) and
-    # that segment packed, 1/8 as much.  The rest is a few MB at most and
-    # does not grow with the limit: the odd primes below 1e6 as a list
-    # of Python ints (about 3 MB), four 256 KiB words per block, and the
-    # counters' 2**20-bit chunks.  So the bound is 10 MB plus one segment
-    # buffer, below the byte table plus its build.
+    # A byte per odd would hold (limit + 1) // 2 bytes for the table
+    # alone; the packed table holds 1/8 of that.  Beside it the work
+    # holds about one block at every limit: the build's BLOCK flags and
+    # that block packed, four 256 KiB word arrays per block of evens, and
+    # the counters' 2**18-bit chunks.  So the peak stays under the table,
+    # one BLOCK and 1 MiB, at 2e7 (1.25 MB table) as at 1e8 (6.25 MB).
     import tracemalloc
 
     import primelab.sieve as sieve
-    from primelab.config import Config
 
-    monkeypatch.setattr(g, "_table", None)
-    monkeypatch.setattr(sieve, "_small_prime_cache", {})
-    tracemalloc.start()
-    try:
-        rep = representation_report(2 * 10**7)
-        assert verify_goldbach(4, 2 * 10**7) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep["unordered"] == 70730  # as counted from a byte-per-odd table
-    assert peak < 10**7 + Config().segment_odds + 1, peak
+    sieve._wheel_pattern()  # built once per process, 0.5 MB
+    for limit, unordered in ((2 * 10**7, 70730), (10**8, 291400)):
+        monkeypatch.setattr(g, "_table", None)
+        monkeypatch.setattr(sieve, "_small_prime_cache", {})
+        tracemalloc.start()
+        try:
+            rep = representation_report(limit)
+            assert verify_goldbach(4, limit) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # as counted from a byte-per-odd table
+        assert rep["unordered"] == unordered, limit
+        table = g._table[1].nbytes
+        assert table == -(-((limit + 1) // 2) // 64) * 8  # packed
+        assert peak < table + sieve.BLOCK + 2**20, (limit, peak)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,3 @@
-import functools
 import os
 import random
 import subprocess
@@ -113,10 +112,11 @@ def test_small_primes_count_published_pi(monkeypatch):
 
 
 def test_small_primes_memory(monkeypatch):
-    # A cold build to 1e7 holds its int64 table of 1.25506 x / ln x
-    # entries (Rosser and Schoenfeld's bound on pi(x)), the block buffer
-    # of BLOCK + 1 flags and one block's primes, the first block's being
-    # the most.  A byte per odd (5 MB) beside the table would not fit.
+    # A cold build to 1e7 holds its uint32 table of 1.25506 x / ln x
+    # entries (Rosser and Schoenfeld's bound on pi(x)), four bytes a
+    # slot, the block buffer of BLOCK + 1 flags and one block's primes as
+    # int64 indices, the first block's being the most.  An int64 table
+    # (3.1 MB more) or a byte per odd (5 MB) beside it would not fit.
     import primelab.sieve as sieve
     sieve._wheel_pattern()
     monkeypatch.setattr(sieve, "_small_prime_cache", {})
@@ -128,7 +128,7 @@ def test_small_primes_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     first_block = int(np.searchsorted(got, 2 * BLOCK))
-    table = 8 * (int(1.25506 * bound / np.log(bound)) + 1)
+    table = 4 * (int(1.25506 * bound / np.log(bound)) + 1)
     assert peak < table + BLOCK + 1 + 8 * first_block + (1 << 18)
 
 
@@ -535,6 +535,15 @@ def test_odd_prime_words_layout(monkeypatch):
         primes = set(naive_sieve(b))
         assert _unpack_words(odd_prime_words(b), b).tolist() == [
             2 * i + 1 in primes for i in range((b + 1) // 2)], b
+    # the table is built a BLOCK of odds (2 * BLOCK integers) at a time:
+    # limits just past one block, just short of two and just past two
+    primes = naive_sieve(4 * BLOCK + 3)
+    for b in (2 * BLOCK - 1, 2 * BLOCK + 1, 4 * BLOCK + 3):
+        flags = np.zeros((b + 1) // 2, dtype=bool)
+        flags[[p >> 1 for p in primes[1:] if p <= b]] = True
+        want = np.packbits(flags, bitorder="little")
+        assert odd_prime_words(b).view(np.uint8)[:want.size].tolist() == \
+            want.tolist(), b
     # two whole default segments and part of a third
     b = 4 * Config().segment_odds + 2 * 37 + 1
     assert (_unpack_words(odd_prime_words(b), b) == odd_prime_flags(b)).all()
@@ -543,11 +552,11 @@ def test_odd_prime_words_layout(monkeypatch):
 @pytest.mark.parametrize("segment_bytes", [1 << 10, 3 << 10])
 def test_odd_prime_words_small_segments(segment_bytes, monkeypatch):
     # many segments, each packed into the words at its own offset and
-    # unpacked into the flags; Config() defaults to segment_bytes, an
-    # explicit keyword still wins, and the base table is built cold
+    # unpacked into the flags: odd_prime_words walks BLOCK-odd segments,
+    # so BLOCK is made small (the base table's walk and fill_segment's
+    # cache blocks take it too), and the base table is built cold
     import primelab.sieve as sieve
-    monkeypatch.setattr(sieve, "Config",
-                        functools.partial(Config, segment_bytes=segment_bytes))
+    monkeypatch.setattr(sieve, "BLOCK", segment_bytes)
     monkeypatch.setattr(sieve, "_small_prime_cache", {})
     primes = set(naive_sieve(10**5))
     for b in (10**5, 10**5 - 1, 2 * segment_bytes, 2 * segment_bytes + 1):
