@@ -539,11 +539,9 @@ def test_odd_prime_words_layout(monkeypatch):
     # limits just past one block, just short of two and just past two
     primes = naive_sieve(4 * BLOCK + 3)
     for b in (2 * BLOCK - 1, 2 * BLOCK + 1, 4 * BLOCK + 3):
-        flags = np.zeros((b + 1) // 2, dtype=bool)
-        flags[[p >> 1 for p in primes[1:] if p <= b]] = True
-        want = np.packbits(flags, bitorder="little")
-        assert odd_prime_words(b).view(np.uint8)[:want.size].tolist() == \
-            want.tolist(), b
+        want = np.zeros((b + 1) // 2, dtype=bool)
+        want[[p >> 1 for p in primes[1:] if p <= b]] = True
+        assert (_unpack_words(odd_prime_words(b), b) == want).all(), b
     # two whole default segments and part of a third
     b = 4 * Config().segment_odds + 2 * 37 + 1
     assert (_unpack_words(odd_prime_words(b), b) == odd_prime_flags(b)).all()
